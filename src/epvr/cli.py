@@ -6,6 +6,7 @@ Set EPVR_LOG to DEBUG/INFO/WARNING to control log verbosity.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -32,24 +33,22 @@ ABLATABLE = ("keypoints", "fusion", "refine", "filter", "kpo")
 def apply_ablation(config: pipeline.PipelineConfig, stages) -> pipeline.PipelineConfig:
     """Disable the named stages (mirrors the toggle combinations of the
     accuracy table rows)."""
-    doc = config.to_dict()
+    changes = {}
     for stage in stages:
         if stage not in ABLATABLE:
             raise ValueError(f"unknown stage {stage!r}; choose from {ABLATABLE}")
         if stage == "keypoints":
-            doc["use_keypoints"] = False
-            doc["use_fusion"] = False
+            changes.update(use_keypoints=False, use_fusion=False)
         elif stage == "fusion":
-            doc["use_fusion"] = False
+            changes["use_fusion"] = False
         elif stage == "refine":
-            # keypoints pass through unmasked: zeta filters stay untouched
-            doc["use_keypoints"] = False
-            doc["use_fusion"] = False
+            # no raw-keypoint path exists yet, so this drops the keypoint stream
+            changes.update(use_keypoints=False, use_fusion=False)
         elif stage == "filter":
-            doc["use_filter"] = False
+            changes["use_filter"] = False
         elif stage == "kpo":
-            doc["use_kpo"] = False
-    return pipeline.PipelineConfig.from_dict(doc)
+            changes["use_kpo"] = False
+    return dataclasses.replace(config, **changes)
 
 
 def cmd_serve(args) -> int:
@@ -101,9 +100,7 @@ def cmd_replay(args) -> int:
     if args.ablate:
         config = apply_ablation(config, [s.strip() for s in args.ablate.split(",") if s.strip()])
     if config.predictor == "replay" and not config.replay_file:
-        config = pipeline.PipelineConfig.from_dict(
-            {**config.to_dict(), "replay_file": args.motion}
-        )
+        config = dataclasses.replace(config, replay_file=args.motion)
     report = pipeline.run_replay(args.motion, args.keypoints, config)
     if args.json:
         doc = {

@@ -36,10 +36,6 @@ class ChannelCountMismatch(EpvrError):
 
 
 # refinement
-class CacheMismatch(EpvrError):
-    """Refinement cache does not align with the sequence being refined."""
-
-
 class ShapeError(EpvrError):
     """Array argument has an unexpected shape."""
 

@@ -1,4 +1,4 @@
-"""One-Euro low-pass filtering for scalar and vector streams.
+"""One-Euro low-pass filtering for vector streams.
 
 Adaptive first-order smoother: the cutoff frequency rises with the
 filtered derivative of the signal, trading lag for jitter suppression.
@@ -8,7 +8,6 @@ Timestamp-driven so irregular frame spacing is handled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,62 +18,18 @@ DEFAULT_BETA = 0.007
 DEFAULT_D_CUTOFF = 1.0  # Hz
 
 
-@dataclass
-class OneEuroState:
-    """Mutable per-channel filter state; single-owner."""
-
-    min_cutoff: float = DEFAULT_MIN_CUTOFF
-    beta: float = DEFAULT_BETA
-    d_cutoff: float = DEFAULT_D_CUTOFF
-    last_value: float = 0.0
-    last_derivative: float = 0.0
-    last_timestamp: float = 0.0
-    initialized: bool = False
-
-    def __post_init__(self):
-        if self.min_cutoff <= 0.0 or self.d_cutoff <= 0.0:
-            raise ValueError("cutoff frequencies must be positive")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
-
-
 def _alpha(cutoff, dt):
     tau = 1.0 / (2.0 * math.pi * cutoff)
     return 1.0 / (1.0 + tau / dt)
 
 
-def one_euro_step(state: OneEuroState, x: float, t: float) -> float:
-    """Advance the filter by one sample; returns the smoothed value.
-
-    The first call initializes the state and returns x unchanged.
-    """
-    if not state.initialized:
-        state.last_value = x
-        state.last_derivative = 0.0
-        state.last_timestamp = t
-        state.initialized = True
-        return x
-    dt = t - state.last_timestamp
-    if dt <= 0.0:
-        raise NonMonotonicTime(f"filter time went backwards: {state.last_timestamp} -> {t}")
-    dx = (x - state.last_value) / dt
-    a_d = _alpha(state.d_cutoff, dt)
-    # incremental form: constant inputs are an exact fixed point
-    dx_hat = state.last_derivative + a_d * (dx - state.last_derivative)
-    cutoff = state.min_cutoff + state.beta * abs(dx_hat)
-    a = _alpha(cutoff, dt)
-    x_hat = state.last_value + a * (x - state.last_value)
-    state.last_value = x_hat
-    state.last_derivative = dx_hat
-    state.last_timestamp = t
-    return x_hat
-
-
 class VectorFilterBank:
     """Independent one-Euro filters over the channels of a fixed-width vector.
 
-    Vectorized equivalent of running one_euro_step per channel; outputs
-    are bit-identical to the scalar recurrence.
+    Each channel follows the scalar recurrence of Casiez et al. ("1€
+    Filter", CHI 2012) in incremental form, so a constant input is an exact
+    fixed point. The first step initializes the state and returns the input
+    unchanged.
     """
 
     def __init__(self, channels: int, min_cutoff=DEFAULT_MIN_CUTOFF, beta=DEFAULT_BETA,
@@ -113,18 +68,9 @@ class VectorFilterBank:
         a_d = _alpha(self.d_cutoff, dt)
         dx_hat = self.last_derivative + a_d * (dx - self.last_derivative)
         cutoff = self.min_cutoff + self.beta * np.abs(dx_hat)
-        tau = 1.0 / (2.0 * math.pi * cutoff)
-        a = 1.0 / (1.0 + tau / dt)
+        a = _alpha(cutoff, dt)
         x_hat = self.last_value + a * (xs - self.last_value)
         self.last_value = x_hat
         self.last_derivative = dx_hat
         self.last_timestamp = t
         return x_hat.copy()
-
-    def reset(self):
-        self.initialized = False
-
-
-def filter_vector_sequence(bank: VectorFilterBank, xs, t: float):
-    """Channelwise one-Euro step over a k-vector (see VectorFilterBank)."""
-    return bank.step(xs, t)

@@ -57,33 +57,6 @@ class KpoConfig:
         object.__setattr__(self, "observed", tuple(self.observed))
 
 
-@dataclass(frozen=True)
-class KpoProblem:
-    """Initial predicted positions, tracked anchor targets, skeleton."""
-
-    initial: np.ndarray
-    anchors: dict
-    tree: core.KinematicTree
-
-    def __post_init__(self):
-        initial = np.asarray(self.initial, dtype=np.float64)
-        if initial.shape != (self.tree.joint_count, 3):
-            raise ValueError(
-                f"initial positions must be ({self.tree.joint_count}, 3), got {initial.shape}"
-            )
-        if not np.all(np.isfinite(initial)):
-            raise ValueError("initial positions must be finite")
-        anchors = {int(k): np.asarray(v, dtype=np.float64).reshape(3) for k, v in self.anchors.items()}
-        for k, q in anchors.items():
-            if not 0 <= k < self.tree.joint_count:
-                raise ValueError(f"anchor joint {k} outside the tree")
-            if not np.all(np.isfinite(q)):
-                raise ValueError(f"anchor {k} must be finite")
-        initial.flags.writeable = False
-        object.__setattr__(self, "initial", initial)
-        object.__setattr__(self, "anchors", anchors)
-
-
 @dataclass
 class KpoReport:
     iterations: int
@@ -92,68 +65,12 @@ class KpoReport:
     diverged: bool = False
 
 
-def _split_observed(problem: KpoProblem, cfg: KpoConfig):
-    observed = [k for k in cfg.observed if 0 <= k < problem.tree.joint_count]
-    missing = set(observed) - set(problem.anchors)
-    if missing:
-        raise ValueError(f"anchors missing for observed joints {sorted(missing)}")
-    targets = (
-        np.stack([problem.anchors[k] for k in observed]) if observed else np.zeros((0, 3))
-    )
-    unobs = np.array(
-        [j for j in range(problem.tree.joint_count) if j not in set(observed)], dtype=np.int64
-    )
-    return np.array(observed, dtype=np.int64), targets, unobs
-
-
 def _bone_state(p, tree):
     disp = p[1:] - p[tree.parent[1:]]
     length = np.sqrt(np.einsum("ij,ij->i", disp, disp))
     if not np.all(length >= _MIN_BONE):
         raise ZeroLengthBone("positions contain a (near) zero-length bone")
     return disp, length
-
-
-def energy_alignment(p, problem: KpoProblem, cfg: KpoConfig) -> float:
-    """Anchor-consistency energy plus self-regularization of the rest."""
-    p = np.asarray(p, dtype=np.float64)
-    obs, targets, unobs = _split_observed(problem, cfg)
-    e = 0.0
-    if len(obs):
-        d = p[obs] - targets
-        e += cfg.lambda_a * float(np.einsum("ij,ij->", d, d))
-    if len(unobs):
-        d = p[unobs] - problem.initial[unobs]
-        e += cfg.lambda_s * float(np.einsum("ij,ij->", d, d))
-    return e
-
-
-def energy_structure(p, problem: KpoProblem, cfg: KpoConfig) -> float:
-    """Bone length/direction preservation over all skeletal links.
-
-    The neighbor double-sum visits every link in both directions, so the
-    single-direction sums are doubled.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    disp, length = _bone_state(p, problem.tree)
-    init_disp, init_len = _bone_state(problem.initial, problem.tree)
-    dlen = length - init_len
-    ddisp = disp - init_disp
-    return 2.0 * float(
-        cfg.lambda_l * np.dot(dlen, dlen)
-        + cfg.lambda_d * np.einsum("ij,ij->", ddisp, ddisp)
-    )
-
-
-def energy_total(p, problem: KpoProblem, cfg: KpoConfig) -> float:
-    return energy_alignment(p, problem, cfg) + energy_structure(p, problem, cfg)
-
-
-def energy_gradient(p, problem: KpoProblem, cfg: KpoConfig):
-    """Analytic gradient of the total energy with respect to positions."""
-    solver = KpoSolver(cfg, problem.tree)
-    solver.set_problem(problem)
-    return solver.value_and_gradient(np.asarray(p, dtype=np.float64))[1]
 
 
 class KpoSolver:
@@ -182,26 +99,15 @@ class KpoSolver:
         quad += 2.0 * cfg.lambda_d * (inc @ inc.T)
         self.quad = quad
         self.initial = None
-        self.targets = None
         self.linear = None
         self.constant = 0.0
         self.init_len = None
 
-    def set_problem(self, problem: KpoProblem):
-        if set(self.cfg.observed) - set(problem.anchors):
-            missing = sorted(set(self.cfg.observed) - set(problem.anchors))
-            raise ValueError(f"anchors missing for observed joints {missing}")
-        targets = (
-            np.stack([problem.anchors[k] for k in self.obs])
-            if len(self.obs)
-            else np.zeros((0, 3))
-        )
-        self.set_arrays(problem.initial, targets)
-
     def set_arrays(self, initial, targets):
+        """Load one frame: predicted positions (J, 3) and the tracked
+        positions of the observed joints, one row per entry of self.obs."""
         cfg = self.cfg
         self.initial = initial
-        self.targets = targets
         init_disp, self.init_len = _bone_state(initial, self.tree)
         linear = np.zeros_like(initial)
         if len(self.obs):
@@ -219,10 +125,7 @@ class KpoSolver:
 
     def _eval(self, p):
         """Energy plus the intermediates the gradient reuses."""
-        disp = p[1:] - p[self.parent]
-        length = np.sqrt(np.einsum("ij,ij->i", disp, disp))
-        if not np.all(length >= _MIN_BONE):
-            raise ZeroLengthBone("positions contain a (near) zero-length bone")
+        disp, length = _bone_state(p, self.tree)
         ap = self.quad @ p
         dlen = length - self.init_len
         energy = (
@@ -285,15 +188,3 @@ class KpoSolver:
                 break
         return p, KpoReport(iterations, energy, np.array(trace), diverged)
 
-
-def optimize(problem: KpoProblem, cfg: KpoConfig):
-    """Minimize the total energy by backtracking gradient descent.
-
-    Returns (positions, KpoReport). Every accepted step strictly
-    decreases the energy; if no decreasing step exists above the 1e-12
-    step floor the best-so-far positions are returned with the diverged
-    flag set.
-    """
-    solver = KpoSolver(cfg, problem.tree)
-    solver.set_problem(problem)
-    return solver.run()

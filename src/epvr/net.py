@@ -49,6 +49,8 @@ ERR_UNKNOWN_MODEL = 1
 ERR_PROTOCOL = 2
 ERR_PIPELINE = 3
 
+NO_SESSION = bytes(16)  # session id of errors raised before an envelope could be read
+
 
 class Kind(IntEnum):
     HELLO = 1
@@ -117,6 +119,7 @@ def decode(buf: bytes) -> Envelope:
 # payload bodies (all floats are 8-byte little-endian IEEE doubles)
 
 _POSE_FIELDS = 1 + 3 + 6 + 3 + 6  # t, p, r6, v, w6
+_POSE_LATENCIES = 3  # predict, kpo, total (microseconds)
 
 
 def _pack_device(pose: core.DevicePose) -> bytes:
@@ -166,19 +169,28 @@ def decode_keypoint_payload(payload: bytes):
 
 
 def encode_pose_payload(rotations, positions, latencies) -> bytes:
-    vals = np.concatenate(
-        [np.asarray(rotations, dtype=np.float64).ravel(),
-         np.asarray(positions, dtype=np.float64).ravel(),
-         np.asarray(latencies, dtype=np.float64).ravel()]
-    )
-    return struct.pack(f"<{22 * 6 + 22 * 3 + 3}d", *vals)
+    rotations = np.asarray(rotations, dtype=np.float64).reshape(-1, 6)
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    latencies = np.asarray(latencies, dtype=np.float64).ravel()
+    if len(rotations) != len(positions) or len(latencies) != _POSE_LATENCIES:
+        raise ValueError(
+            f"{len(rotations)} rotations, {len(positions)} positions and "
+            f"{len(latencies)} latencies do not form a pose result"
+        )
+    return np.concatenate([rotations.ravel(), positions.ravel(), latencies]).astype("<f8").tobytes()
 
 
 def decode_pose_payload(payload: bytes):
-    vals = np.array(struct.unpack(f"<{22 * 6 + 22 * 3 + 3}d", payload))
-    rotations = vals[: 22 * 6].reshape(22, 6)
-    positions = vals[22 * 6: 22 * 6 + 22 * 3].reshape(22, 3)
-    return rotations, positions, vals[-3:]
+    """(rotations (J, 6), positions (J, 3), latencies (3,)); J follows from
+    the payload length, which must be 8 * (9 J + 3) bytes with J >= 1."""
+    doubles, rem = divmod(len(payload), 8)
+    joints, extra = divmod(doubles - _POSE_LATENCIES, 9)
+    if rem or extra or joints < 1:
+        raise ValueError(f"{len(payload)}-byte pose payload fits no joint count")
+    vals = np.frombuffer(payload, dtype="<f8").astype(np.float64)
+    rotations = vals[: 6 * joints].reshape(joints, 6)
+    positions = vals[6 * joints: 9 * joints].reshape(joints, 3)
+    return rotations, positions, vals[9 * joints:]
 
 
 def encode_error_payload(code: int, message: str) -> bytes:
@@ -275,6 +287,12 @@ class _Connection:
             except OSError:
                 return False
 
+    def send_error(self, code: int, message: str, session_id: bytes = NO_SESSION,
+                   sequence: int = 0, timestamp: float = 0.0) -> bool:
+        return self.send(encode(Envelope(
+            Kind.ERROR, session_id, sequence, timestamp, encode_error_payload(code, message)
+        )))
+
     def close(self):
         try:
             self.sock.shutdown(socket.SHUT_RDWR)
@@ -316,6 +334,7 @@ class _Subscriber:
             self.queue.put_nowait(None)
         except queue.Full:
             pass
+        self.conn.close()
 
 
 class _ServerSession:
@@ -330,7 +349,9 @@ class _ServerSession:
         self.sub_lock = threading.Lock()
         self.result_seq = 0
         self.last_sensor_seq = -1
-        self.closing = False
+        self.stopping = threading.Event()  # tells the worker to exit
+        self._close_lock = threading.Lock()
+        self._closed = False
         self.pipeline = server.build_session(model_name)
         self.worker = threading.Thread(target=self._work, daemon=True)
         self.worker.start()
@@ -344,7 +365,7 @@ class _ServerSession:
         self.buffer.push((head, left, right, kp))
 
     def _work(self):
-        while not self.closing:
+        while not self.stopping.is_set():
             bundle = self.buffer.take_latest(timeout=0.05)
             if bundle is None:
                 continue
@@ -352,15 +373,8 @@ class _ServerSession:
             try:
                 result = self.pipeline.process_frame(head, left, right, kp)
             except Exception as e:  # pipeline errors stay inside this session
-                self.conn.send(
-                    encode(
-                        Envelope(
-                            Kind.ERROR, self.session_id, self.result_seq,
-                            head.timestamp,
-                            encode_error_payload(ERR_PIPELINE, f"{type(e).__name__}: {e}"),
-                        )
-                    )
-                )
+                self.conn.send_error(ERR_PIPELINE, f"{type(e).__name__}: {e}", self.session_id,
+                                     self.result_seq, head.timestamp)
                 self.close()
                 return
             lat = result.latencies
@@ -383,9 +397,13 @@ class _ServerSession:
             self.subscribers.append(sub)
 
     def close(self):
-        if self.closing:
-            return
-        self.closing = True
+        """Stop the worker and release the session; only the first call acts
+        (the worker and the connection handler may both call it)."""
+        with self._close_lock:
+            if self._closed:
+                return
+            self._closed = True
+        self.stopping.set()
         with self.sub_lock:
             for sub in self.subscribers:
                 sub.stop()
@@ -436,45 +454,27 @@ class Server:
         conn = _Connection(sock)
         session = None
         subscriber = None
+        env = None
+
+        def refuse(code, message):  # answers the envelope being handled
+            conn.send_error(code, message, env.session_id, timestamp=env.timestamp)
+
         try:
             while not self._closing:
                 try:
                     env = read_envelope(sock)
                 except (BadMagic, CrcMismatch, TruncatedFrame, UnknownKind) as e:
-                    conn.send(
-                        encode(
-                            Envelope(
-                                Kind.ERROR, b"\x00" * 16, 0, 0.0,
-                                encode_error_payload(ERR_PROTOCOL, str(e)),
-                            )
-                        )
-                    )
+                    conn.send_error(ERR_PROTOCOL, str(e))
                     return
                 if env is None:
                     return
                 if env.kind == Kind.HELLO:
                     if session is not None:
-                        conn.send(
-                            encode(
-                                Envelope(
-                                    Kind.ERROR, env.session_id, 0, env.timestamp,
-                                    encode_error_payload(ERR_PROTOCOL, "session already open"),
-                                )
-                            )
-                        )
+                        refuse(ERR_PROTOCOL, "session already open")
                         return
                     model = decode_hello(env.payload)
                     if model not in self.registry:
-                        conn.send(
-                            encode(
-                                Envelope(
-                                    Kind.ERROR, env.session_id, 0, env.timestamp,
-                                    encode_error_payload(
-                                        ERR_UNKNOWN_MODEL, f"unknown model {model!r}"
-                                    ),
-                                )
-                            )
-                        )
+                        refuse(ERR_UNKNOWN_MODEL, f"unknown model {model!r}")
                         return
                     session = _ServerSession(self, env.session_id, conn, model)
                     with self._session_lock:
@@ -484,14 +484,7 @@ class Server:
                     with self._session_lock:
                         target = self._sessions.get(env.session_id)
                     if target is None:
-                        conn.send(
-                            encode(
-                                Envelope(
-                                    Kind.ERROR, env.session_id, 0, env.timestamp,
-                                    encode_error_payload(ERR_PROTOCOL, "no such session"),
-                                )
-                            )
-                        )
+                        refuse(ERR_PROTOCOL, "no such session")
                         return
                     subscriber = _Subscriber(conn)
                     target.add_subscriber(subscriber)
@@ -507,26 +500,10 @@ class Server:
                     )
                 elif env.kind in (Kind.HMD_FRAME, Kind.KEYPOINT_FRAME):
                     if session is None:
-                        conn.send(
-                            encode(
-                                Envelope(
-                                    Kind.ERROR, env.session_id, 0, env.timestamp,
-                                    encode_error_payload(ERR_PROTOCOL, "HELLO first"),
-                                )
-                            )
-                        )
+                        refuse(ERR_PROTOCOL, "HELLO first")
                         return
                     if env.sequence <= session.last_sensor_seq:
-                        conn.send(
-                            encode(
-                                Envelope(
-                                    Kind.ERROR, env.session_id, 0, env.timestamp,
-                                    encode_error_payload(
-                                        ERR_PROTOCOL, "sequence numbers must increase"
-                                    ),
-                                )
-                            )
-                        )
+                        refuse(ERR_PROTOCOL, "sequence numbers must increase")
                         return
                     session.last_sensor_seq = env.sequence
                     if env.kind == Kind.HMD_FRAME:
@@ -558,7 +535,7 @@ class Server:
         with self._session_lock:
             sessions = list(self._sessions.values())
         for s in sessions:
-            s.closing = True
+            s.stopping.set()
         for s in sessions:
             s.worker.join(timeout=2.0)
             s.close()

@@ -18,6 +18,7 @@ separate sessions share nothing and may run concurrently.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from dataclasses import dataclass, field
@@ -60,77 +61,23 @@ class PipelineConfig:
         if self.window < 1:
             raise ValueError("window must be >= 1")
 
-    def to_dict(self):
-        doc = {
-            "predictor": self.predictor,
-            "use_keypoints": self.use_keypoints,
-            "use_refine_normalized": self.use_refine_normalized,
-            "use_fusion": self.use_fusion,
-            "use_filter": self.use_filter,
-            "use_kpo": self.use_kpo,
-            "window": self.window,
-            "kpo": {
-                "lambda_a": self.kpo.lambda_a,
-                "lambda_s": self.kpo.lambda_s,
-                "lambda_l": self.kpo.lambda_l,
-                "lambda_d": self.kpo.lambda_d,
-                "max_iters": self.kpo.max_iterations,
-                "step_size": self.kpo.step_size,
-                "tol": self.kpo.energy_tolerance,
-            },
-            "filter": {
-                "min_cutoff": self.filter_min_cutoff,
-                "beta": self.filter_beta,
-                "d_cutoff": self.filter_d_cutoff,
-            },
-            "refine_filter": {
-                "min_cutoff": self.refine_min_cutoff,
-                "beta": self.refine_beta,
-                "d_cutoff": self.refine_d_cutoff,
-            },
-            "weights_path": self.weights_path,
-            "weights_seed": self.weights_seed,
-            "replay_file": self.replay_file,
-            "prediction_noise_sigma": self.prediction_noise_sigma,
-            "prediction_noise_seed": self.prediction_noise_seed,
-            "missing_zeta_decay": self.missing_zeta_decay,
-        }
-        return doc
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
-        kwargs = {}
-        simple = (
-            "predictor", "use_keypoints", "use_refine_normalized", "use_fusion",
-            "use_filter", "use_kpo", "window", "weights_path", "weights_seed",
-            "replay_file", "prediction_noise_sigma", "prediction_noise_seed",
-            "missing_zeta_decay",
-        )
-        for key in simple:
-            if key in doc:
-                kwargs[key] = doc[key]
-        if "kpo" in doc:
-            k = doc["kpo"]
-            kwargs["kpo"] = kpo.KpoConfig(
-                lambda_a=k.get("lambda_a", 1.0),
-                lambda_s=k.get("lambda_s", 0.1),
-                lambda_l=k.get("lambda_l", 1.0),
-                lambda_d=k.get("lambda_d", 0.5),
-                max_iterations=k.get("max_iters", 30),
-                step_size=k.get("step_size", 0.1),
-                energy_tolerance=k.get("tol", 1e-6),
-            )
-        if "filter" in doc:
-            f = doc["filter"]
-            kwargs["filter_min_cutoff"] = f.get("min_cutoff", 1.0)
-            kwargs["filter_beta"] = f.get("beta", 0.007)
-            kwargs["filter_d_cutoff"] = f.get("d_cutoff", 1.0)
-        if "refine_filter" in doc:
-            f = doc["refine_filter"]
-            kwargs["refine_min_cutoff"] = f.get("min_cutoff", 1.0)
-            kwargs["refine_beta"] = f.get("beta", 0.007)
-            kwargs["refine_d_cutoff"] = f.get("d_cutoff", 1.0)
-        return PipelineConfig(**kwargs)
+        """Inverse of to_dict; raises ValueError on a key that names no field."""
+        doc = dict(doc)
+        if isinstance(doc.get("kpo"), dict):
+            doc["kpo"] = _from_fields(kpo.KpoConfig, doc["kpo"])
+        return _from_fields(PipelineConfig, doc)
+
+
+def _from_fields(cls, doc: dict):
+    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
+    return cls(**doc)
 
 
 @dataclass
@@ -178,7 +125,7 @@ class ReplayPredictor:
         for head, _, _, rec in descriptor.read_motion_file(path):
             if "gt" in rec:
                 gt = rec["gt"]
-                rots = np.array(gt["r6"], dtype=np.float64).reshape(22, 6)
+                rots = np.array(gt["r6"], dtype=np.float64).reshape(-1, 6)
                 records.append((head.timestamp, core.FullBodyPose(rots[0], rots[1:])))
         return ReplayPredictor(records)
 
@@ -239,12 +186,9 @@ class PipelineSession:
         self.predictor = predictor or build_predictor(config, self.tree)
         j = self.tree.joint_count
         self._window = None
-        self._kp_fill = 0
-        self._kp_times = np.zeros(config.window)
-        self._kp_z = np.zeros((config.window, j, 3))
-        self._kp_zeta = np.zeros((config.window, j))
-        self._refine_cache = refine.make_cache(
-            j, config.refine_min_cutoff, config.refine_beta, config.refine_d_cutoff
+        self._keypoints = refine.KeypointStream(
+            j, config.window, config.refine_min_cutoff,
+            config.refine_beta, config.refine_d_cutoff, config.missing_zeta_decay,
         )
         self._refine_fn = refine.refine_normalized if config.use_refine_normalized else refine.refine
         self._pos_filter = None
@@ -257,41 +201,15 @@ class PipelineSession:
             if config.prediction_noise_sigma > 0.0
             else None
         )
-        self._last_z = None
-        self._carry_zeta = None
-        self._anchor_joints = (
-            self.tree.joint_index("head"),
-            self.tree.joint_index("left_wrist"),
-            self.tree.joint_index("right_wrist"),
-        )
-        self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree) if config.use_kpo else None
-
-    def _push_keypoints(self, timestamp, keypoints):
-        if keypoints is not None:
-            z, zeta = keypoints
-            self._last_z = np.asarray(z, dtype=np.float64)
-            self._carry_zeta = np.asarray(zeta, dtype=np.float64)
-        elif self._last_z is not None:
-            self._carry_zeta = self._carry_zeta * self.config.missing_zeta_decay
-        else:
-            return None
-        if self._kp_fill == self.config.window:
-            self._kp_times[:-1] = self._kp_times[1:]
-            self._kp_z[:-1] = self._kp_z[1:]
-            self._kp_zeta[:-1] = self._kp_zeta[1:]
-        else:
-            self._kp_fill += 1
-        i = self._kp_fill - 1
-        self._kp_times[i] = timestamp
-        self._kp_z[i] = self._last_z
-        self._kp_zeta[i] = self._carry_zeta
-        seq = refine.KeypointSequence(
-            self._kp_z[: self._kp_fill],
-            self._kp_zeta[: self._kp_fill],
-            self._kp_times[: self._kp_fill],
-        )
-        refined, self._refine_cache = self._refine_fn(seq, self._refine_cache)
-        return refined
+        self._kpo_solver = None
+        if config.use_kpo:
+            self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree)
+            # device order of process_frame: head, left controller, right controller
+            tracked = [self.tree.joint_index(n) for n in ("head", "left_wrist", "right_wrist")]
+            untracked = sorted(set(config.kpo.observed) - set(tracked))
+            if untracked:
+                raise ValueError(f"observed joints {untracked} are not tracked by any device")
+            self._anchor_devices = [tracked.index(k) for k in self._kpo_solver.obs]
 
     def process_frame(self, head: core.DevicePose, left: core.DevicePose,
                       right: core.DevicePose, keypoints=None) -> FrameResult:
@@ -308,7 +226,7 @@ class PipelineSession:
         refined = None
         if cfg.use_keypoints:
             t0 = time.perf_counter_ns()
-            refined = self._push_keypoints(head.timestamp, keypoints)
+            refined = self._refine_fn(self._keypoints, head.timestamp, keypoints)
             latencies["refine"] = (time.perf_counter_ns() - t0) / 1e3
 
         t0 = time.perf_counter_ns()
@@ -332,13 +250,11 @@ class PipelineSession:
 
         if cfg.use_kpo:
             t0 = time.perf_counter_ns()
-            hj, lj, rj = self._anchor_joints
-            anchors = {hj: head.position, lj: left.position, rj: right.position}
-            solver = self._kpo_solver
-            solver.set_arrays(
-                positions, np.stack([anchors[k] for k in solver.obs])
+            devices = (head, left, right)
+            self._kpo_solver.set_arrays(
+                positions, np.stack([devices[d].position for d in self._anchor_devices])
             )
-            positions, _ = solver.run()
+            positions, _ = self._kpo_solver.run()
             latencies["kpo"] = (time.perf_counter_ns() - t0) / 1e3
 
         latencies["total"] = (time.perf_counter_ns() - t_start) / 1e3
@@ -367,8 +283,8 @@ def _gt_from_record(rec):
     if "gt" not in rec:
         return None
     gt = rec["gt"]
-    rots = np.array(gt["r6"], dtype=np.float64).reshape(22, 6)
-    pos = np.array(gt["p"], dtype=np.float64).reshape(22, 3)
+    rots = np.array(gt["r6"], dtype=np.float64).reshape(-1, 6)
+    pos = np.array(gt["p"], dtype=np.float64).reshape(-1, 3)
     return rots, pos
 
 

@@ -2,9 +2,8 @@
 
 Per joint, the visibility probability stream is smoothed by a one-Euro
 filter, turned into a soft mask, and multiplied into the keypoint
-coordinates. A cache carries filter state and already-refined frames
-across calls so that streaming appends reproduce a single full pass
-bit-for-bit.
+coordinates. A KeypointStream refines each frame once as it arrives and
+keeps the last `window` refined frames.
 
 Two mask variants exist:
 
@@ -19,135 +18,78 @@ must pick one and stay with it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CacheMismatch, FileFormat, ShapeError
+from .errors import FileFormat, ShapeError
 from .filtering import DEFAULT_BETA, DEFAULT_D_CUTOFF, DEFAULT_MIN_CUTOFF, VectorFilterBank
 
 
-@dataclass(frozen=True)
-class KeypointSequence:
-    """T x J x 3 camera-centered keypoints with per-joint visibility in [0,1]."""
+class KeypointStream:
+    """Refined keypoint window of one stream, advanced one frame at a time.
 
-    positions: np.ndarray
-    visibility: np.ndarray
-    timestamps: np.ndarray
-
-    def __post_init__(self):
-        pos = np.asarray(self.positions, dtype=np.float64)
-        vis = np.asarray(self.visibility, dtype=np.float64)
-        ts = np.asarray(self.timestamps, dtype=np.float64)
-        if pos.ndim != 3 or pos.shape[2] != 3:
-            raise ShapeError(f"positions must be (T, J, 3), got {pos.shape}")
-        if vis.shape != pos.shape[:2]:
-            raise ShapeError(f"visibility must be (T, J), got {vis.shape}")
-        if ts.shape != (pos.shape[0],):
-            raise ShapeError(f"timestamps must be (T,), got {ts.shape}")
-        if np.any(vis < 0.0) or np.any(vis > 1.0):
-            raise ShapeError("visibility probabilities must lie in [0, 1]")
-        if np.any(np.diff(ts) <= 0.0):
-            raise ShapeError("timestamps must be strictly increasing")
-        for arr in (pos, vis, ts):
-            arr.flags.writeable = False
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "visibility", vis)
-        object.__setattr__(self, "timestamps", ts)
-
-    @property
-    def frame_count(self):
-        return self.positions.shape[0]
-
-    @property
-    def joint_count(self):
-        return self.positions.shape[1]
-
-
-@dataclass
-class RefineCache:
-    """State carried between refinement calls on one stream."""
-
-    filters: VectorFilterBank
-    timestamps: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    refined: np.ndarray = field(default_factory=lambda: np.zeros((0, 0, 3)))
-    smoothed_visibility: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
-
-    @property
-    def last_timestamp(self):
-        return self.timestamps[-1] if len(self.timestamps) else None
-
-
-def make_cache(joint_count: int, min_cutoff=DEFAULT_MIN_CUTOFF, beta=DEFAULT_BETA,
-               d_cutoff=DEFAULT_D_CUTOFF) -> RefineCache:
-    return RefineCache(VectorFilterBank(joint_count, min_cutoff, beta, d_cutoff))
-
-
-def _overlap_length(cache: RefineCache, timestamps):
-    """Frames at the start of the sequence already covered by the cache.
-
-    The cache spans the previously seen window; a new window may extend it
-    (growing stream) or overlap its tail (sliding window). Any claimed
-    overlap must match the cached timestamps exactly.
+    Owns the visibility filter bank, a (window, J, 3) buffer of refined
+    frames in time order, and the last keypoints with their carried-over
+    visibility. A frame without keypoints reuses the last positions with
+    visibility decayed by missing_zeta_decay. Every frame is refined once,
+    when it arrives, so the window equals a single full pass over the
+    stream on every retained frame.
     """
-    cached = cache.timestamps
-    if len(cached) == 0:
-        return 0
-    first = timestamps[0]
-    if first > cached[-1]:
-        return 0
-    matches = np.nonzero(cached == first)[0]
-    if len(matches) == 0:
-        raise CacheMismatch(
-            f"window starts at {first}, inside cached span but not on a cached frame"
-        )
-    start = int(matches[0])
-    overlap = len(cached) - start
-    if overlap > len(timestamps) or not np.array_equal(
-        cached[start:], timestamps[:overlap]
-    ):
-        raise CacheMismatch("cached timestamps do not align with the new window")
-    return overlap
 
+    def __init__(self, joint_count: int, window: int, min_cutoff=DEFAULT_MIN_CUTOFF,
+                 beta=DEFAULT_BETA, d_cutoff=DEFAULT_D_CUTOFF, missing_zeta_decay=0.9):
+        if window < 1:
+            raise ValueError("window must be >= 1")
+        self.filters = VectorFilterBank(joint_count, min_cutoff, beta, d_cutoff)
+        self.missing_zeta_decay = missing_zeta_decay
+        self.refined = np.zeros((window, joint_count, 3))
+        self.fill = 0
+        self.last_z = None
+        self.carry_zeta = None
 
-def _refine(seq: KeypointSequence, cache: RefineCache | None, normalized: bool):
-    if cache is None:
-        cache = make_cache(seq.joint_count)
-    if cache.filters.channels != seq.joint_count:
-        raise ShapeError(
-            f"cache built for {cache.filters.channels} joints, sequence has {seq.joint_count}"
-        )
-    overlap = _overlap_length(cache, seq.timestamps)
-    new_count = seq.frame_count - overlap
+    def _validated(self, keypoints):
+        j = self.filters.channels
+        z, zeta = keypoints
+        z = np.array(z, dtype=np.float64)
+        zeta = np.array(zeta, dtype=np.float64)
+        if z.shape != (j, 3):
+            raise ShapeError(f"keypoints must be ({j}, 3), got {z.shape}")
+        if zeta.shape != (j,):
+            raise ShapeError(f"visibility must be ({j},), got {zeta.shape}")
+        if not np.all((zeta >= 0.0) & (zeta <= 1.0)):
+            raise ShapeError("visibility probabilities must lie in [0, 1]")
+        return z, zeta
 
-    refined = np.empty_like(seq.positions)
-    smoothed = np.empty_like(seq.visibility)
-    if overlap:
-        start = len(cache.timestamps) - overlap
-        refined[:overlap] = cache.refined[start:]
-        smoothed[:overlap] = cache.smoothed_visibility[start:]
-    for i in range(overlap, overlap + new_count):
-        zeta = cache.filters.step(seq.visibility[i], float(seq.timestamps[i]))
-        mask = np.maximum(zeta - 0.5, 0.0)
+    def _step(self, t: float, keypoints, normalized: bool):
+        """Refine the frame at time t; keypoints is (z (J, 3), zeta (J,)) or
+        None. Returns a copy of the refined window (oldest first), or None
+        while no keypoints have arrived yet."""
+        if keypoints is not None:
+            z, zeta = self._validated(keypoints)
+        elif self.last_z is not None:
+            z, zeta = self.last_z, self.carry_zeta * self.missing_zeta_decay
+        else:
+            return None
+        mask = np.maximum(self.filters.step(zeta, t) - 0.5, 0.0)
         if normalized:
             mask = np.minimum(2.0 * mask, 1.0)
-        smoothed[i] = zeta
-        refined[i] = seq.positions[i] * mask[:, None]
-
-    cache.timestamps = seq.timestamps.copy()
-    cache.refined = refined.copy()
-    cache.smoothed_visibility = smoothed.copy()
-    return refined, cache
-
-
-def refine(seq: KeypointSequence, cache: RefineCache | None = None):
-    """Literal-mask refinement; returns (refined T x J x 3, updated cache)."""
-    return _refine(seq, cache, normalized=False)
+        if self.fill == len(self.refined):
+            self.refined[:-1] = self.refined[1:]
+        else:
+            self.fill += 1
+        self.refined[self.fill - 1] = z * mask[:, None]
+        self.last_z, self.carry_zeta = z, zeta
+        return self.refined[: self.fill].copy()
 
 
-def refine_normalized(seq: KeypointSequence, cache: RefineCache | None = None):
-    """Normalized-mask variant: fully visible joints pass unattenuated."""
-    return _refine(seq, cache, normalized=True)
+def refine(stream: KeypointStream, t: float, keypoints=None):
+    """Literal-mask step: push one frame, return the refined window or None."""
+    return stream._step(t, keypoints, normalized=False)
+
+
+def refine_normalized(stream: KeypointStream, t: float, keypoints=None):
+    """Normalized-mask step: fully visible joints pass unattenuated."""
+    return stream._step(t, keypoints, normalized=True)
 
 
 # ---------------------------------------------------------------------------

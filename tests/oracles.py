@@ -127,3 +127,45 @@ def one_euro_reference(xs, ts, min_cutoff, beta, d_cutoff):
         out.append(x_hat)
         prev_x, prev_dx, prev_t = x_hat, dx_hat, t
     return out
+
+
+# --- kinematic pose optimization energies ----------------------------------
+#
+# The energies KpoSolver minimizes, evaluated term by term over the bones
+# (j, tree.parent[j]) instead of through the solver's folded quadratic form.
+# cfg supplies lambda_a, lambda_s, lambda_l, lambda_d and observed; anchors
+# maps each observed joint to its tracked position.
+
+
+def kpo_alignment_energy(p, initial, anchors, cfg):
+    """lambda_a |p_k - anchor_k|^2 over observed joints k plus
+    lambda_s |p_j - initial_j|^2 over the others."""
+    p = np.asarray(p, dtype=np.float64)
+    observed = [k for k in cfg.observed if 0 <= k < len(p)]
+    others = [j for j in range(len(p)) if j not in observed]
+    energy = 0.0
+    if observed:
+        d = p[observed] - np.stack([np.asarray(anchors[k], dtype=np.float64) for k in observed])
+        energy += cfg.lambda_a * float(np.sum(d * d))
+    if others:
+        d = p[others] - initial[others]
+        energy += cfg.lambda_s * float(np.sum(d * d))
+    return energy
+
+
+def kpo_structure_energy(p, initial, parent, cfg):
+    """lambda_l (change of bone length)^2 + lambda_d |change of bone vector|^2
+    over every bone, doubled because each link counts in both directions."""
+    p = np.asarray(p, dtype=np.float64)
+    child = np.arange(1, len(parent))
+    bone = p[child] - p[parent[child]]
+    bone0 = initial[child] - initial[parent[child]]
+    dlen = np.linalg.norm(bone, axis=1) - np.linalg.norm(bone0, axis=1)
+    ddir = bone - bone0
+    return 2.0 * (cfg.lambda_l * float(np.sum(dlen * dlen)) + cfg.lambda_d * float(np.sum(ddir * ddir)))
+
+
+def kpo_total_energy(p, initial, anchors, parent, cfg):
+    return kpo_alignment_energy(p, initial, anchors, cfg) + kpo_structure_energy(
+        p, initial, parent, cfg
+    )

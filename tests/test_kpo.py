@@ -1,8 +1,13 @@
+import dataclasses
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
 from epvr import core, kpo
 from epvr.errors import ZeroLengthBone
+
+import oracles
 
 
 def chain_tree(offsets=((0, 0.3, 0), (0, 0.25, 0))):
@@ -21,13 +26,43 @@ def default_positions(tree, rng=None, jitter=0.0):
     return pos
 
 
+class Problem(NamedTuple):
+    """Predicted positions, tracked anchor positions by joint, skeleton."""
+
+    initial: np.ndarray
+    anchors: dict
+    tree: core.KinematicTree
+
+
 def random_problem(rng, tree=None, anchor_noise=0.03, jitter=0.01):
     tree = tree or core.default_tree()
     initial = default_positions(tree, rng, jitter)
     anchors = {
         k: initial[k] + rng.normal(0.0, anchor_noise, 3) for k in core.OBSERVED_JOINTS
     }
-    return kpo.KpoProblem(initial, anchors, tree)
+    return Problem(initial, anchors, tree)
+
+
+def make_solver(problem, cfg):
+    solver = kpo.KpoSolver(cfg, problem.tree)
+    solver.set_arrays(problem.initial, np.array([problem.anchors[k] for k in solver.obs]))
+    return solver
+
+
+def optimize(problem, cfg):
+    return make_solver(problem, cfg).run()
+
+
+def alignment_only(cfg):
+    return dataclasses.replace(cfg, lambda_l=0.0, lambda_d=0.0)
+
+
+def structure_only(cfg):
+    return dataclasses.replace(cfg, lambda_a=0.0, lambda_s=0.0)
+
+
+def naive_total(p, problem, cfg):
+    return oracles.kpo_total_energy(p, problem.initial, problem.anchors, problem.tree.parent, cfg)
 
 
 # --- independent oracles ----------------------------------------------------
@@ -67,80 +102,89 @@ def fd_gradient(p, problem, cfg, h=1e-5):
         minus = p.copy()
         minus[idx] -= h
         grad[idx] = (
-            kpo.energy_total(plus, problem, cfg) - kpo.energy_total(minus, problem, cfg)
+            naive_total(plus, problem, cfg) - naive_total(minus, problem, cfg)
         ) / (2 * h)
     return grad
 
 
-# --- alignment energy --------------------------------------------------------
+# --- alignment energy (solver with the structure weights zeroed) -------------
 
 
 def test_alignment_zero_at_exact_match():
     rng = np.random.default_rng(60)
     problem = random_problem(rng)
-    cfg = kpo.KpoConfig()
+    cfg = alignment_only(kpo.KpoConfig())
     p = problem.initial.copy()
     for k in core.OBSERVED_JOINTS:
         p[k] = problem.anchors[k]
-    assert kpo.energy_alignment(p, problem, cfg) == 0.0
+    assert make_solver(problem, cfg).energy(p) == 0.0
 
 
 def test_alignment_single_displacement_arithmetic():
     rng = np.random.default_rng(61)
     problem = random_problem(rng)
-    cfg = kpo.KpoConfig(lambda_a=2.5)
+    cfg = alignment_only(kpo.KpoConfig(lambda_a=2.5))
     p = problem.initial.copy()
     for k in core.OBSERVED_JOINTS:
         p[k] = problem.anchors[k]
     d = 0.07
     p[core.HEAD_JOINT] = problem.anchors[core.HEAD_JOINT] + np.array([d, 0, 0])
-    assert abs(kpo.energy_alignment(p, problem, cfg) - 2.5 * d * d) < 1e-15
+    assert abs(make_solver(problem, cfg).energy(p) - 2.5 * d * d) < 1e-15
 
 
 def test_alignment_matches_term_by_term_oracle():
     rng = np.random.default_rng(62)
     for _ in range(20):
         problem = random_problem(rng)
-        cfg = kpo.KpoConfig(lambda_a=rng.uniform(0.1, 3), lambda_s=rng.uniform(0, 1))
+        cfg = alignment_only(
+            kpo.KpoConfig(lambda_a=rng.uniform(0.1, 3), lambda_s=rng.uniform(0, 1))
+        )
         p = problem.initial + rng.normal(0, 0.05, problem.initial.shape)
-        got = kpo.energy_alignment(p, problem, cfg)
+        got = make_solver(problem, cfg).energy(p)
         assert abs(got - alignment_oracle(p, problem, cfg)) < 1e-12
 
 
-# --- structure energy ---------------------------------------------------------
+# --- structure energy (solver with the alignment weights zeroed) -------------
 
 
 def test_structure_zero_at_initial():
     rng = np.random.default_rng(63)
     problem = random_problem(rng)
-    assert kpo.energy_structure(problem.initial, problem, kpo.KpoConfig()) == 0.0
+    solver = make_solver(problem, structure_only(kpo.KpoConfig()))
+    assert solver.energy(problem.initial) == 0.0
 
 
 def test_structure_translation_invariant():
     rng = np.random.default_rng(64)
     problem = random_problem(rng)
     p = problem.initial + np.array([0.4, -1.2, 0.9])
-    assert kpo.energy_structure(p, problem, kpo.KpoConfig()) < 1e-24
+    assert make_solver(problem, structure_only(kpo.KpoConfig())).energy(p) < 1e-24
 
 
 def test_structure_matches_edge_enumeration_oracle():
     rng = np.random.default_rng(65)
     for _ in range(20):
         problem = random_problem(rng)
-        cfg = kpo.KpoConfig(lambda_l=rng.uniform(0.1, 3), lambda_d=rng.uniform(0.1, 2))
+        cfg = structure_only(
+            kpo.KpoConfig(lambda_l=rng.uniform(0.1, 3), lambda_d=rng.uniform(0.1, 2))
+        )
         p = problem.initial + rng.normal(0, 0.03, problem.initial.shape)
-        got = kpo.energy_structure(p, problem, cfg)
+        got = make_solver(problem, cfg).energy(p)
         assert abs(got - structure_oracle(p, problem, cfg)) < 1e-12
 
 
 def test_structure_rejects_collapsed_bone():
     tree = chain_tree()
     initial = default_positions(tree)
-    problem = kpo.KpoProblem(initial, {2: initial[2]}, tree)
+    problem = Problem(initial, {2: initial[2]}, tree)
     p = initial.copy()
     p[1] = p[0]
+    solver = make_solver(problem, kpo.KpoConfig(observed=(2,)))
     with pytest.raises(ZeroLengthBone):
-        kpo.energy_structure(p, problem, kpo.KpoConfig(observed=(2,)))
+        solver.energy(p)
+    collapsed = Problem(p, {2: initial[2]}, tree)
+    with pytest.raises(ZeroLengthBone):
+        make_solver(collapsed, kpo.KpoConfig(observed=(2,)))
 
 
 # --- total energy and gradient ------------------------------------------------
@@ -151,8 +195,9 @@ def test_total_is_sum_of_parts():
     problem = random_problem(rng)
     cfg = kpo.KpoConfig()
     p = problem.initial + rng.normal(0, 0.02, problem.initial.shape)
-    total = kpo.energy_total(p, problem, cfg)
-    parts = kpo.energy_alignment(p, problem, cfg) + kpo.energy_structure(p, problem, cfg)
+    total = make_solver(problem, cfg).energy(p)
+    parts = (make_solver(problem, alignment_only(cfg)).energy(p)
+             + make_solver(problem, structure_only(cfg)).energy(p))
     assert abs(total - parts) < 1e-12
 
 
@@ -161,10 +206,9 @@ def test_solver_energy_matches_naive_total():
     for _ in range(10):
         problem = random_problem(rng)
         cfg = kpo.KpoConfig(lambda_a=1.7, lambda_s=0.3, lambda_l=2.0, lambda_d=0.8)
-        solver = kpo.KpoSolver(cfg, problem.tree)
-        solver.set_problem(problem)
+        solver = make_solver(problem, cfg)
         p = problem.initial + rng.normal(0, 0.02, problem.initial.shape)
-        assert abs(solver.energy(p) - kpo.energy_total(p, problem, cfg)) < 1e-10
+        assert abs(solver.energy(p) - naive_total(p, problem, cfg)) < 1e-10
 
 
 def test_gradient_zero_at_joint_minimum():
@@ -172,8 +216,8 @@ def test_gradient_zero_at_joint_minimum():
     tree = core.default_tree()
     initial = default_positions(tree, rng, 0.005)
     anchors = {k: initial[k].copy() for k in core.OBSERVED_JOINTS}
-    problem = kpo.KpoProblem(initial, anchors, tree)
-    grad = kpo.energy_gradient(initial, problem, kpo.KpoConfig())
+    problem = Problem(initial, anchors, tree)
+    _, grad = make_solver(problem, kpo.KpoConfig()).value_and_gradient(initial)
     assert np.max(np.abs(grad)) < 1e-12
 
 
@@ -182,12 +226,12 @@ def test_gradient_pure_anchor_term():
     tree = core.default_tree()
     initial = default_positions(tree, rng, 0.005)
     anchors = {k: initial[k].copy() for k in core.OBSERVED_JOINTS}
-    problem = kpo.KpoProblem(initial, anchors, tree)
+    problem = Problem(initial, anchors, tree)
     cfg = kpo.KpoConfig(lambda_a=1.3, lambda_s=0.5, lambda_l=0.0, lambda_d=0.0)
     d = 0.04
     p = initial.copy()
     p[core.HEAD_JOINT, 0] += d
-    grad = kpo.energy_gradient(p, problem, cfg)
+    _, grad = make_solver(problem, cfg).value_and_gradient(p)
     want = np.zeros_like(grad)
     want[core.HEAD_JOINT, 0] = 2 * 1.3 * d
     assert np.max(np.abs(grad - want)) < 1e-12
@@ -202,7 +246,7 @@ def test_gradient_matches_central_differences():
             lambda_l=rng.uniform(0.5, 2), lambda_d=rng.uniform(0.1, 1),
         )
         p = problem.initial + rng.normal(0, 0.02, problem.initial.shape)
-        analytic = kpo.energy_gradient(p, problem, cfg)
+        _, analytic = make_solver(problem, cfg).value_and_gradient(p)
         numeric = fd_gradient(p, problem, cfg)
         rel = np.abs(analytic - numeric) / np.maximum(np.abs(numeric), 1e-6)
         assert np.max(rel) < 1e-4
@@ -216,8 +260,8 @@ def test_optimize_fixed_point_when_anchors_satisfied():
     tree = core.default_tree()
     initial = default_positions(tree, rng, 0.01)
     anchors = {k: initial[k].copy() for k in core.OBSERVED_JOINTS}
-    problem = kpo.KpoProblem(initial, anchors, tree)
-    out, report = kpo.optimize(problem, kpo.KpoConfig())
+    problem = Problem(initial, anchors, tree)
+    out, report = optimize(problem, kpo.KpoConfig())
     assert report.iterations <= 1
     assert report.final_energy < 1e-20
     assert np.array_equal(out, initial)
@@ -233,8 +277,8 @@ def test_optimize_three_joint_chain_matches_grid_search():
     for _ in range(5):
         initial = default_positions(tree) + rng.normal(0, 0.02, (3, 3))
         target = initial[2] + rng.normal(0.0, 0.01, 3)
-        problem = kpo.KpoProblem(initial, {2: target}, tree)
-        got, report = kpo.optimize(problem, cfg)
+        problem = Problem(initial, {2: target}, tree)
+        got, report = optimize(problem, cfg)
 
         # dense displacement lattice around the anchor offset
         center = target - initial[2]
@@ -255,7 +299,7 @@ def test_optimize_monotone_trace_and_anchor_improvement():
     cfg = kpo.KpoConfig()
     for _ in range(50):
         problem = random_problem(rng)
-        out, report = kpo.optimize(problem, cfg)
+        out, report = optimize(problem, cfg)
         assert np.all(np.diff(report.energy_trace) < 0)
         for k in core.OBSERVED_JOINTS:
             before = np.linalg.norm(problem.initial[k] - problem.anchors[k])
@@ -268,13 +312,13 @@ def test_optimize_translation_equivariance():
     problem = random_problem(rng)
     cfg = kpo.KpoConfig()
     shift = np.array([0.7, -0.3, 1.1])
-    moved = kpo.KpoProblem(
+    moved = Problem(
         problem.initial + shift,
         {k: v + shift for k, v in problem.anchors.items()},
         problem.tree,
     )
-    a, _ = kpo.optimize(problem, cfg)
-    b, _ = kpo.optimize(moved, cfg)
+    a, _ = optimize(problem, cfg)
+    b, _ = optimize(moved, cfg)
     assert np.max(np.abs(b - (a + shift))) < 1e-9
 
 
@@ -292,8 +336,8 @@ def test_structure_preserved_with_large_length_weight():
             anchors[k] = initial[k] + (v - initial[k]) * min(
                 1.0, 0.05 / max(np.linalg.norm(v - initial[k]), 1e-12)
             )
-        problem = kpo.KpoProblem(initial, anchors, tree)
-        out, _ = kpo.optimize(problem, cfg)
+        problem = Problem(initial, anchors, tree)
+        out, _ = optimize(problem, cfg)
         init_len = np.linalg.norm(
             initial[1:] - initial[tree.parent[1:]], axis=1
         )
@@ -308,25 +352,20 @@ def test_optimize_reduces_error_toward_truth():
     tree = core.default_tree()
     truth = default_positions(tree, rng, 0.01)
     noisy = truth + rng.normal(0.0, 0.02, truth.shape)
-    problem = kpo.KpoProblem(noisy, {k: truth[k] for k in core.OBSERVED_JOINTS}, tree)
-    out, _ = kpo.optimize(problem, kpo.KpoConfig())
+    problem = Problem(noisy, {k: truth[k] for k in core.OBSERVED_JOINTS}, tree)
+    out, _ = optimize(problem, kpo.KpoConfig())
     before = np.mean(np.linalg.norm(noisy - truth, axis=1))
     after = np.mean(np.linalg.norm(out - truth, axis=1))
     assert after < before
 
 
-def test_problem_validation():
-    tree = chain_tree()
-    initial = default_positions(tree)
-    with pytest.raises(ValueError):
-        kpo.KpoProblem(initial, {9: np.zeros(3)}, tree)  # joint outside tree
-    with pytest.raises(ValueError):
-        kpo.KpoProblem(initial[:2], {0: np.zeros(3)}, tree)  # bad shape
-    with pytest.raises(ValueError):
-        kpo.optimize(
-            kpo.KpoProblem(initial, {}, tree), kpo.KpoConfig(observed=(2,))
-        )  # anchors missing for observed joints
+def test_config_validation():
     with pytest.raises(ValueError):
         kpo.KpoConfig(lambda_a=-1.0)
     with pytest.raises(ValueError):
         kpo.KpoConfig(max_iterations=0)
+    with pytest.raises(ValueError):
+        kpo.KpoConfig(step_size=0.0)
+    with pytest.raises(ValueError):
+        kpo.KpoConfig(energy_tolerance=0.0)
+

@@ -1,0 +1,254 @@
+import socket
+import sys
+import threading
+import time
+
+import numpy as np
+import pytest
+
+from epvr import eval as evalmod, net, pipeline
+
+TIMEOUT = 3.0
+MODEL = "hmd"
+# cheap per-frame work: heuristic rest pose, no keypoints, no optimizer
+REGISTRY = {
+    MODEL: pipeline.PipelineConfig(
+        predictor="heuristic", use_keypoints=False, use_fusion=False, use_kpo=False
+    )
+}
+
+
+@pytest.fixture(scope="module")
+def walk():
+    return evalmod.generate_sequence("walk", 0.1, 60.0, seed=3)
+
+
+@pytest.fixture
+def server():
+    srv = net.serve(("127.0.0.1", 0), REGISTRY)
+    yield srv
+    srv.close()
+
+
+def _client(server):
+    return net.Client(*server.address, timeout=TIMEOUT)
+
+
+def _send(client, kind, sequence, payload=b"", session_id=None, timestamp=0.0):
+    env = net.Envelope(kind, session_id or client.session_id, sequence, timestamp, payload)
+    client.sock.sendall(net.encode(env))
+
+
+def _error_code(client):
+    """Read until the server's ERROR envelope and return its code; the
+    server then closes the connection."""
+    while True:
+        env = client.recv()
+        assert env is not None, "connection closed without an ERROR envelope"
+        if env.kind == net.Kind.ERROR:
+            code, _ = net.decode_error_payload(env.payload)
+            assert client.recv() is None
+            return code
+
+
+# --- pose payload ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("joints", [1, 3, 22])
+def test_pose_payload_round_trip_takes_joint_count_from_the_arrays(joints):
+    rng = np.random.default_rng(joints)
+    rots = rng.standard_normal((joints, 6))
+    pos = rng.standard_normal((joints, 3))
+    lat = [1.0, 2.0, 3.0]
+    payload = net.encode_pose_payload(rots, pos, lat)
+    assert len(payload) == 8 * (9 * joints + 3)
+    got_rots, got_pos, got_lat = net.decode_pose_payload(payload)
+    assert np.array_equal(got_rots, rots)
+    assert np.array_equal(got_pos, pos)
+    assert np.array_equal(got_lat, lat)
+
+
+def test_pose_payload_rejects_lengths_that_fit_no_joint_count():
+    payload = net.encode_pose_payload(np.zeros((22, 6)), np.zeros((22, 3)), [0.0] * 3)
+    for bad in (payload[:-1], payload[:-8], payload + bytes(8), payload[:24], b""):
+        with pytest.raises(ValueError):
+            net.decode_pose_payload(bad)
+    with pytest.raises(ValueError):
+        net.encode_pose_payload(np.zeros((22, 6)), np.zeros((21, 3)), [0.0] * 3)
+    with pytest.raises(ValueError):
+        net.encode_pose_payload(np.zeros((22, 6)), np.zeros((22, 3)), [0.0] * 2)
+
+
+# --- server lifecycle -----------------------------------------------------------
+
+
+def test_close_ends_every_session_and_wakes_clients(server, walk):
+    client = _client(server)
+    render = _client(server)
+    try:
+        client.hello(MODEL)
+        render.subscribe(client.session_id)
+        client.send_hmd(walk.head[0], walk.left[0], walk.right[0])
+        assert client.recv().kind == net.Kind.POSE_RESULT
+        assert render.recv().kind == net.Kind.POSE_RESULT
+        assert server.session_count() == 1
+
+        t0 = time.perf_counter()
+        server.close()
+        assert server.session_count() == 0
+        assert client.recv() is None
+        assert render.recv() is None
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        client.close()
+        render.close()
+
+
+def test_close_is_safe_to_repeat(server):
+    client = _client(server)
+    try:
+        client.hello(MODEL)
+        server.close()
+        server.close()
+        assert server.session_count() == 0
+    finally:
+        client.close()
+
+
+def test_pipeline_error_closes_only_its_session(server, walk):
+    good, bad = _client(server), _client(server)
+    try:
+        good.hello(MODEL)
+        bad.hello(MODEL)
+        f = walk.head[0]
+        bad.send_hmd(f, walk.left[0], walk.right[0])
+        assert bad.recv().kind == net.Kind.POSE_RESULT
+        # a new sequence number with the previous head timestamp passes the
+        # wire checks but is a stale frame for the pipeline
+        bad.send_hmd(f, walk.left[0], walk.right[0])
+        assert _error_code(bad) == net.ERR_PIPELINE
+        good.send_hmd(walk.head[1], walk.left[1], walk.right[1])
+        assert good.recv().kind == net.Kind.POSE_RESULT
+        deadline = time.perf_counter() + TIMEOUT
+        while server.session_count() != 1 and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        assert server.session_count() == 1
+    finally:
+        good.close()
+        bad.close()
+
+
+def test_concurrent_close_acts_once():
+    """Worker, handler and server may all close one session at once; the
+    session is released exactly once."""
+
+    class CountingServer:
+        drops = 0
+
+        def build_session(self, model_name):
+            return pipeline.PipelineSession(REGISTRY[model_name])
+
+        def drop_session(self, session_id):
+            self.drops += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            owner = CountingServer()
+            a, b = socket.socketpair()
+            session = net._ServerSession(owner, bytes(16), net._Connection(a), MODEL)
+            start = threading.Barrier(8)
+
+            def close():
+                start.wait(TIMEOUT)
+                session.close()
+
+            threads = [threading.Thread(target=close) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(TIMEOUT)
+            session.worker.join(TIMEOUT)
+            b.close()
+            assert not any(t.is_alive() for t in threads) and not session.worker.is_alive()
+            assert owner.drops == 1
+    finally:
+        sys.setswitchinterval(interval)
+
+
+# --- refusals -------------------------------------------------------------------
+
+
+def test_sensor_frame_before_hello_is_refused(server, walk):
+    client = _client(server)
+    try:
+        client.send_hmd(walk.head[0], walk.left[0], walk.right[0])
+        assert _error_code(client) == net.ERR_PROTOCOL
+    finally:
+        client.close()
+
+
+def test_second_hello_is_refused(server):
+    client = _client(server)
+    try:
+        client.hello(MODEL)
+        _send(client, net.Kind.HELLO, 1, net.encode_hello(MODEL))
+        assert _error_code(client) == net.ERR_PROTOCOL
+    finally:
+        client.close()
+
+
+def test_unknown_model_is_refused(server):
+    client = _client(server)
+    try:
+        _send(client, net.Kind.HELLO, 0, net.encode_hello("no-such-model"))
+        assert _error_code(client) == net.ERR_UNKNOWN_MODEL
+    finally:
+        client.close()
+
+
+def test_non_increasing_sequence_is_refused(server, walk):
+    client = _client(server)
+    try:
+        client.hello(MODEL)
+        payload = net.encode_hmd_payload(walk.head[0], walk.left[0], walk.right[0])
+        _send(client, net.Kind.HMD_FRAME, 5, payload)
+        _send(client, net.Kind.HMD_FRAME, 5, payload)
+        assert _error_code(client) == net.ERR_PROTOCOL
+    finally:
+        client.close()
+
+
+def test_subscribe_to_missing_session_is_refused(server):
+    client = _client(server)
+    try:
+        _send(client, net.Kind.SUBSCRIBE_RENDER, 0, session_id=bytes(range(16)))
+        assert _error_code(client) == net.ERR_PROTOCOL
+    finally:
+        client.close()
+
+
+def test_corrupted_crc_is_refused(server):
+    client = _client(server)
+    try:
+        raw = bytearray(net.encode(net.Envelope(net.Kind.PING, client.session_id, 0, 0.0)))
+        raw[-1] ^= 0xFF
+        client.sock.sendall(bytes(raw))
+        env = client.recv()
+        assert env.kind == net.Kind.ERROR and env.session_id == net.NO_SESSION
+        assert net.decode_error_payload(env.payload)[0] == net.ERR_PROTOCOL
+        assert client.recv() is None
+    finally:
+        client.close()
+
+
+def test_refused_connection_is_closed_by_the_server(server):
+    sock = socket.create_connection(server.address, timeout=TIMEOUT)
+    try:
+        sock.sendall(b"XXXX" + bytes(net.HEADER_LEN))
+        env = net.read_envelope(sock)
+        assert env.kind == net.Kind.ERROR
+        assert net.read_envelope(sock) is None
+    finally:
+        sock.close()

@@ -1,0 +1,186 @@
+import json
+
+import numpy as np
+import pytest
+
+from epvr import cli, core, eval as evalmod, kpo, pipeline
+from epvr.filtering import VectorFilterBank
+
+WINDOW = 5
+REFINE = dict(refine_min_cutoff=2.0, refine_beta=0.1, refine_d_cutoff=1.5)
+DECAY = 0.8
+
+
+class RecordingPredictor:
+    """Rest pose for every frame; keeps a copy of each keypoints argument."""
+
+    def __init__(self):
+        self.seen = []
+
+    def predict(self, window, keypoints):
+        self.seen.append(None if keypoints is None else np.array(keypoints))
+        return core.rest_pose()
+
+
+def _session(**overrides):
+    cfg = pipeline.PipelineConfig(
+        predictor="heuristic", window=WINDOW, use_fusion=False, use_filter=False,
+        use_kpo=False, missing_zeta_decay=DECAY, **REFINE, **overrides,
+    )
+    recorder = RecordingPredictor()
+    return pipeline.PipelineSession(cfg, predictor=recorder), recorder
+
+
+def _walk(frames):
+    seq = evalmod.generate_sequence("walk", frames / 60.0, 60.0, seed=1)
+    z, zeta = evalmod.noisy_keypoints(seq, 0.01, seed=2)
+    return seq, z, zeta
+
+
+def _expected(seq, z, zeta, present, normalized=False):
+    """Refined window per frame from a visibility filter bank run over the
+    carried-over visibility stream; None until keypoints first arrive."""
+    bank = VectorFilterBank(seq.tree.joint_count, 2.0, 0.1, 1.5)
+    rows, out = [], []
+    last_z = carry = None
+    for i in range(seq.frame_count):
+        if present[i]:
+            last_z, carry = z[i], zeta[i]
+        elif last_z is not None:
+            carry = carry * DECAY
+        if last_z is None:
+            out.append(None)
+            continue
+        mask = np.maximum(bank.step(carry, seq.timestamps[i]) - 0.5, 0.0)
+        if normalized:
+            mask = np.minimum(2.0 * mask, 1.0)
+        rows.append(last_z * mask[:, None])
+        out.append(np.array(rows[-WINDOW:]))
+    return out
+
+
+def _drive(session, seq, z, zeta, present):
+    for i in range(seq.frame_count):
+        kp = (z[i], zeta[i]) if present[i] else None
+        session.process_frame(seq.head[i], seq.left[i], seq.right[i], kp)
+
+
+def _assert_same(seen, expected):
+    assert len(seen) == len(expected)
+    for got, want in zip(seen, expected):
+        if want is None:
+            assert got is None
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_predictor_sees_refined_window_longer_stream(normalized):
+    seq, z, zeta = _walk(3 * WINDOW)
+    present = [True] * seq.frame_count
+    session, recorder = _session(use_refine_normalized=normalized)
+    _drive(session, seq, z, zeta, present)
+    _assert_same(recorder.seen, _expected(seq, z, zeta, present, normalized))
+    assert all(len(w) == WINDOW for w in recorder.seen[WINDOW - 1:])
+
+
+def test_missing_keypoints_decay_visibility_and_reuse_positions():
+    seq, z, zeta = _walk(16)
+    present = [i % 3 == 0 or i > 12 for i in range(seq.frame_count)]
+    session, recorder = _session()
+    _drive(session, seq, z, zeta, present)
+    _assert_same(recorder.seen, _expected(seq, z, zeta, present))
+
+
+def test_predictor_gets_none_before_first_keypoints():
+    seq, z, zeta = _walk(10)
+    present = [i >= 4 for i in range(seq.frame_count)]
+    session, recorder = _session()
+    _drive(session, seq, z, zeta, present)
+    assert recorder.seen[:4] == [None] * 4
+    _assert_same(recorder.seen, _expected(seq, z, zeta, present))
+
+
+def test_keypoint_stage_off_passes_none():
+    seq, z, zeta = _walk(4)
+    cfg = pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False)
+    recorder = RecordingPredictor()
+    session = pipeline.PipelineSession(cfg, predictor=recorder)
+    _drive(session, seq, z, zeta, [True] * seq.frame_count)
+    assert recorder.seen == [None] * seq.frame_count
+
+
+# --- config serialisation ------------------------------------------------------
+
+
+def _custom_config():
+    return pipeline.PipelineConfig(
+        predictor="heuristic", use_keypoints=True, use_refine_normalized=True,
+        use_fusion=False, use_filter=False, window=12,
+        kpo=kpo.KpoConfig(lambda_a=2.0, max_iterations=7, energy_tolerance=1e-4,
+                          observed=(15,)),
+        filter_min_cutoff=0.5, filter_beta=0.2, refine_d_cutoff=3.0,
+        weights_path="w.bin", replay_file="r.jsonl", prediction_noise_sigma=0.01,
+        missing_zeta_decay=0.7,
+    )
+
+
+def test_config_round_trips_through_json():
+    cfg = _custom_config()
+    assert pipeline.PipelineConfig.from_dict(cfg.to_dict()) == cfg
+    assert pipeline.PipelineConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    assert pipeline.PipelineConfig.from_dict({}) == pipeline.PipelineConfig()
+
+
+def test_config_rejects_unknown_keys():
+    with pytest.raises(ValueError, match="use_kpo_"):
+        pipeline.PipelineConfig.from_dict({"use_kpo_": False})
+    with pytest.raises(ValueError, match="max_iters"):
+        pipeline.PipelineConfig.from_dict({"kpo": {"max_iters": 3}})
+
+
+def test_ablation_changes_only_the_named_stage():
+    cfg = _custom_config()
+    ablated = cli.apply_ablation(cfg, ["filter", "kpo"])
+    assert ablated.kpo.observed == (15,)
+    assert ablated == pipeline.PipelineConfig(
+        **{**cfg.__dict__, "use_filter": False, "use_kpo": False}
+    )
+    with pytest.raises(ValueError):
+        cli.apply_ablation(cfg, ["nothing"])
+
+
+# --- skeleton facts ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("observed", [(0,), (15, 4), (99,)])
+def test_observed_joint_without_a_device_is_rejected_at_construction(observed):
+    cfg = pipeline.PipelineConfig(
+        predictor="heuristic", use_keypoints=False, use_fusion=False,
+        kpo=kpo.KpoConfig(observed=observed),
+    )
+    with pytest.raises(ValueError, match="not tracked"):
+        pipeline.PipelineSession(cfg)
+
+
+@pytest.mark.parametrize("joint,device,other", [(20, 1, 2), (21, 2, 1)])
+def test_kpo_pulls_each_observed_joint_toward_its_own_device(joint, device, other):
+    seq, _, _ = _walk(1)
+    devices = (seq.head[0], seq.left[0], seq.right[0])
+    base = dict(predictor="heuristic", use_keypoints=False, use_fusion=False, use_filter=False)
+    before = pipeline.PipelineSession(pipeline.PipelineConfig(**base, use_kpo=False))
+    after = pipeline.PipelineSession(
+        pipeline.PipelineConfig(**base, kpo=kpo.KpoConfig(observed=(joint,)))
+    )
+    p0 = before.process_frame(*devices).pose.positions[joint]
+    p1 = after.process_frame(*devices).pose.positions[joint]
+    target = devices[device].position
+    assert np.linalg.norm(p1 - target) < 0.5 * np.linalg.norm(p0 - target)
+    assert np.linalg.norm(p1 - target) < np.linalg.norm(p1 - devices[other].position)
+
+
+def test_ground_truth_record_takes_its_joint_count_from_the_data():
+    rec = {"gt": {"r6": [[1, 0, 0, 0, 1, 0]] * 3, "p": [[0.0, float(i), 0.0] for i in range(3)]}}
+    rots, pos = pipeline._gt_from_record(rec)
+    assert rots.shape == (3, 6) and pos.shape == (3, 3)
+    assert pipeline._gt_from_record({}) is None
