@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import core, eval as evalmod, net, pipeline
+from . import eval as evalmod, net, pipeline
 
 log = logging.getLogger("epvr")
 
@@ -127,20 +127,10 @@ def _bench_once(config, frames, seq):
     for i in range(frames):
         j = i % n
         ts_shift = (i // n) * (n / seq.rate)
-        head, left, right = seq.head[j], seq.left[j], seq.right[j]
-        if ts_shift:
-            head = core.DevicePose(
-                head.timestamp + ts_shift, head.position, head.orientation,
-                head.linear_velocity, head.angular_velocity,
-            )
-            left = core.DevicePose(
-                left.timestamp + ts_shift, left.position, left.orientation,
-                left.linear_velocity, left.angular_velocity,
-            )
-            right = core.DevicePose(
-                right.timestamp + ts_shift, right.position, right.orientation,
-                right.linear_velocity, right.angular_velocity,
-            )
+        head, left, right = (
+            dataclasses.replace(pose, timestamp=pose.timestamp + ts_shift) if ts_shift else pose
+            for pose in (seq.head[j], seq.left[j], seq.right[j])
+        )
         if config.use_keypoints:
             kp = (seq.keypoints_cam[j], seq.visibility[j].astype(np.float64))
         result = session.process_frame(head, left, right, kp)
@@ -167,35 +157,7 @@ def cmd_bench(args) -> int:
     print(f"fps {mean:.1f} ± {std:.1f}  ({args.runs} runs x {args.frames} frames)")
     for stage in pipeline.STAGES:
         print(f"stage.{stage}_us {stage_means[stage]:.1f}")
-    if args.e2e:
-        fps_e2e = _bench_end_to_end(config, min(args.frames, 2000), seq)
-        print(f"fps_end_to_end {fps_e2e:.1f}")
     return 0
-
-
-def _bench_end_to_end(config, frames, seq):
-    """Lock-step round trips through a loopback server."""
-    server = net.serve(("127.0.0.1", 0), {"bench": config})
-    client = net.Client(*server.address)
-    try:
-        client.hello("bench")
-        n = seq.frame_count
-        t0 = time.perf_counter()
-        done = 0
-        for i in range(frames):
-            j = i % n
-            client.send_hmd(seq.head[j], seq.left[j], seq.right[j])
-            env = client.recv()
-            if env is None or env.kind != net.Kind.POSE_RESULT:
-                break
-            done += 1
-            if j == n - 1:
-                break  # timestamps must keep increasing; one pass is enough
-        wall = time.perf_counter() - t0
-        return done / wall if wall > 0 else 0.0
-    finally:
-        client.close()
-        server.close()
 
 
 def main(argv=None) -> int:
@@ -233,7 +195,6 @@ def main(argv=None) -> int:
     p.add_argument("--config", default=None)
     p.add_argument("--frames", type=int, default=2000)
     p.add_argument("--runs", type=int, default=3)
-    p.add_argument("--e2e", action="store_true", help="also measure loopback round trips")
     p.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)

@@ -11,13 +11,12 @@ headset frame.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import core
-from .errors import FileFormat, NonMonotonicTime, StaleFrame, TimestampSkew
+from . import core, replayfile
+from .errors import NonMonotonicTime, StaleFrame, TimestampSkew
 
 DESCRIPTOR_DIM = 72
 SYNC_TOLERANCE = 1e-4  # seconds between the three device timestamps
@@ -127,16 +126,11 @@ def push_frame(window: DescriptorWindow | None, descriptor, timestamp: float,
 
 
 # ---------------------------------------------------------------------------
-# Motion replay files: one JSON object per line, self-describing header first.
-# Extra keys on frame records (e.g. ground-truth pose annotations written by
-# the synthetic generator) are preserved for other readers.
+# Motion replay files (see replayfile). Extra keys on frame records (e.g.
+# ground-truth pose annotations written by the synthetic generator) are
+# preserved for other readers.
 
-MOTION_HEADER = {
-    "format": "epvr-motion",
-    "version": 1,
-    "coordinate_convention": {"handedness": "right", "up": "y"},
-    "units": "meters",
-}
+MOTION_FORMAT = "epvr-motion"
 
 
 def _pose_to_record(pose: core.DevicePose):
@@ -152,59 +146,29 @@ def _pose_from_record(t, rec):
     return core.DevicePose(t, rec["p"], rec["r6"], rec["v"], rec["w6"])
 
 
-class MotionWriter:
-    """Writes line-delimited motion replay records."""
+def motion_record(head, left, right, extra=None) -> dict:
+    """One motion file frame record; extra keys are merged in."""
+    rec = {
+        "t": float(head.timestamp),
+        "head": _pose_to_record(head),
+        "left": _pose_to_record(left),
+        "right": _pose_to_record(right),
+    }
+    if extra:
+        rec.update(extra)
+    return rec
 
-    def __init__(self, path):
-        self._fh = open(path, "w")
-        self._fh.write(json.dumps(MOTION_HEADER) + "\n")
 
-    def write(self, head, left, right, extra=None):
-        rec = {
-            "t": float(head.timestamp),
-            "head": _pose_to_record(head),
-            "left": _pose_to_record(left),
-            "right": _pose_to_record(right),
-        }
-        if extra:
-            rec.update(extra)
-        self._fh.write(json.dumps(rec) + "\n")
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+def _motion_frame(rec):
+    t = rec["t"]
+    return (
+        _pose_from_record(t, rec["head"]),
+        _pose_from_record(t, rec["left"]),
+        _pose_from_record(t, rec["right"]),
+        rec,
+    )
 
 
 def read_motion_file(path):
     """Load every frame: list of (head, left, right, raw_record) tuples."""
-    frames = []
-    with open(path) as fh:
-        header = fh.readline()
-        try:
-            head_doc = json.loads(header)
-        except json.JSONDecodeError as e:
-            raise FileFormat(f"bad motion file header: {e}") from None
-        if head_doc.get("format") != "epvr-motion":
-            raise FileFormat(f"not a motion replay file: {path}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                t = rec["t"]
-                frames.append(
-                    (
-                        _pose_from_record(t, rec["head"]),
-                        _pose_from_record(t, rec["left"]),
-                        _pose_from_record(t, rec["right"]),
-                        rec,
-                    )
-                )
-            except (json.JSONDecodeError, KeyError) as e:
-                raise FileFormat(f"{path}:{lineno}: bad frame record ({e})") from None
-    return frames
+    return replayfile.read_replay(path, MOTION_FORMAT, _motion_frame)

@@ -317,10 +317,9 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
             np.stack([core.matrix_to_rot6d(r) for r in rots[1:]]),
         )
         root_pos = _root_position(kind, 0.0 if kind == "static" else t, phase, params)
-        pos = kinematics.forward_kinematics(
+        pos, glob = kinematics.forward_chain(
             pose, tree, kinematics.WorldAnchor(root_pos, core.IDENTITY_6D), anchor_joint=0
         )
-        glob = kinematics.global_rotations(pose, tree)
         poses.append(pose)
         positions[i] = pos
         head_poses.append(

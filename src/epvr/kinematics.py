@@ -35,21 +35,11 @@ class WorldAnchor:
         )
 
 
-def global_rotations(pose: core.FullBodyPose, tree: core.KinematicTree):
-    """Per-joint world rotation matrices (ancestor chain products)."""
-    locals_ = core.rot6d_to_matrix(pose.stacked_rotations())
-    out = np.empty_like(locals_)
-    out[0] = locals_[0]
-    parent = tree.parent
-    for level in tree.depth_levels:
-        out[level] = out[parent[level]] @ locals_[level]
-    return out
-
-
-def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree,
-                       anchor: WorldAnchor, align_head_orientation: bool = False,
-                       anchor_joint: int | None = None):
-    """World positions (J x 3) of every joint.
+def forward_chain(pose: core.FullBodyPose, tree: core.KinematicTree,
+                  anchor: WorldAnchor, align_head_orientation: bool = False,
+                  anchor_joint: int | None = None):
+    """World positions (J x 3) and world rotation matrices (J x 3 x 3) of
+    every joint.
 
     The chain is accumulated from the root, then translated as one rigid
     body so the anchor joint (the head by default) lands on
@@ -73,21 +63,25 @@ def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree,
         raw[level] = raw[par] + np.einsum("kij,kj->ki", parent_rot, offsets[level])
     if anchor_joint is None:
         anchor_joint = tree.joint_index("head")
-    rel = raw - raw[anchor_joint]
-    return rel + anchor.head_position
+    return raw - raw[anchor_joint] + anchor.head_position, rot
+
+
+def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree,
+                       anchor: WorldAnchor, align_head_orientation: bool = False,
+                       anchor_joint: int | None = None):
+    """World positions (J x 3) of every joint; see forward_chain."""
+    return forward_chain(pose, tree, anchor, align_head_orientation, anchor_joint)[0]
 
 
 def bone_vectors(positions, tree: core.KinematicTree):
-    """Per-bone (length, unit direction) from parent to child.
+    """Per-bone displacement parent -> child (J-1, 3) and length (J-1,).
 
-    Returns (lengths (J-1,), directions (J-1, 3)); raises ZeroLengthBone
-    when any bone collapses below 1e-9 m.
+    Raises ZeroLengthBone when any bone is shorter than 1e-9 m or its
+    length is NaN.
     """
-    positions = np.asarray(positions, dtype=np.float64)
-    child = np.arange(1, tree.joint_count)
-    diff = positions[child] - positions[tree.parent[child]]
-    lengths = np.linalg.norm(diff, axis=1)
-    if np.any(lengths < _MIN_BONE):
-        bad = int(child[np.argmin(lengths)])
-        raise ZeroLengthBone(f"bone into joint {bad} has near-zero length")
-    return lengths, diff / lengths[:, None]
+    disp = positions[1:] - positions[tree.parent[1:]]
+    length = np.sqrt(np.einsum("ij,ij->i", disp, disp))
+    if not np.all(length >= _MIN_BONE):
+        bad = 1 + int(np.flatnonzero(~(length >= _MIN_BONE))[0])
+        raise ZeroLengthBone(f"bone into joint {bad} has near-zero or undefined length")
+    return disp, length

@@ -28,8 +28,8 @@ import numpy as np
 
 from . import core
 from .errors import ZeroLengthBone
+from .kinematics import bone_vectors
 
-_MIN_BONE = 1e-9
 _STEP_FLOOR = 1e-12
 
 
@@ -63,14 +63,6 @@ class KpoReport:
     final_energy: float
     energy_trace: np.ndarray
     diverged: bool = False
-
-
-def _bone_state(p, tree):
-    disp = p[1:] - p[tree.parent[1:]]
-    length = np.sqrt(np.einsum("ij,ij->i", disp, disp))
-    if not np.all(length >= _MIN_BONE):
-        raise ZeroLengthBone("positions contain a (near) zero-length bone")
-    return disp, length
 
 
 class KpoSolver:
@@ -108,7 +100,7 @@ class KpoSolver:
         positions of the observed joints, one row per entry of self.obs."""
         cfg = self.cfg
         self.initial = initial
-        init_disp, self.init_len = _bone_state(initial, self.tree)
+        init_disp, self.init_len = bone_vectors(initial, self.tree)
         linear = np.zeros_like(initial)
         if len(self.obs):
             linear[self.obs] = cfg.lambda_a * targets
@@ -125,7 +117,7 @@ class KpoSolver:
 
     def _eval(self, p):
         """Energy plus the intermediates the gradient reuses."""
-        disp, length = _bone_state(p, self.tree)
+        disp, length = bone_vectors(p, self.tree)
         ap = self.quad @ p
         dlen = length - self.init_len
         energy = (

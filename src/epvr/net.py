@@ -141,8 +141,12 @@ def encode_hello(model: str) -> bytes:
 
 
 def decode_hello(payload: bytes) -> str:
+    if len(payload) < 2:
+        raise ValueError(f"{len(payload)}-byte hello payload has no length prefix")
     (n,) = struct.unpack_from("<H", payload, 0)
-    return payload[2:2 + n].decode("utf-8")
+    if len(payload) != 2 + n:
+        raise ValueError(f"{len(payload)}-byte hello payload does not hold a {n}-byte name")
+    return payload[2:].decode("utf-8")  # UnicodeDecodeError is a ValueError
 
 
 def encode_hmd_payload(head, left, right) -> bytes:
@@ -151,6 +155,8 @@ def encode_hmd_payload(head, left, right) -> bytes:
 
 def decode_hmd_payload(payload: bytes):
     step = _POSE_FIELDS * 8
+    if len(payload) != 3 * step:
+        raise ValueError(f"HMD payload must be {3 * step} bytes, got {len(payload)}")
     return tuple(_unpack_device(payload, i * step) for i in range(3))
 
 
@@ -163,7 +169,11 @@ def encode_keypoint_payload(z, zeta) -> bytes:
 
 
 def decode_keypoint_payload(payload: bytes):
+    if len(payload) < 4:
+        raise ValueError(f"{len(payload)}-byte keypoint payload has no joint count")
     (j,) = struct.unpack_from("<I", payload, 0)
+    if len(payload) != 4 + 32 * j:
+        raise ValueError(f"{len(payload)}-byte keypoint payload does not hold {j} joints")
     rows = np.array(struct.unpack_from(f"<{4 * j}d", payload, 4)).reshape(j, 4)
     return rows[:, :3], rows[:, 3]
 
@@ -241,15 +251,19 @@ class FrameBuffer:
 # server
 
 _SUBSCRIBER_BACKLOG = 64
+_RECV_CHUNK = 1 << 16
 
 
 def _recv_exact(sock, n):
+    """n bytes, or None at end of stream (a reset by the peer included);
+    any other OSError, a socket timeout included, propagates."""
     chunks = []
     remaining = n
     while remaining > 0:
         try:
-            chunk = sock.recv(remaining)
-        except OSError:
+            # capped so a forged payload length cannot make recv allocate 4 GB
+            chunk = sock.recv(min(remaining, _RECV_CHUNK))
+        except ConnectionResetError:
             return None
         if not chunk:
             return None
@@ -259,7 +273,8 @@ def _recv_exact(sock, n):
 
 
 def read_envelope(sock):
-    """Read exactly one framed envelope from a stream socket (None on EOF)."""
+    """Read exactly one framed envelope from a stream socket (None at end
+    of stream; a socket timeout raises TimeoutError)."""
     header = _recv_exact(sock, HEADER_LEN)
     if header is None:
         return None
@@ -356,8 +371,7 @@ class _ServerSession:
         self.worker = threading.Thread(target=self._work, daemon=True)
         self.worker.start()
 
-    def push_sensor(self, env: Envelope):
-        head, left, right = decode_hmd_payload(env.payload)
+    def push_sensor(self, head, left, right):
         kp = None
         latest = self.latest_keypoints
         if latest is not None and abs(latest[0] - head.timestamp) <= PAIRING_WINDOW:
@@ -422,6 +436,7 @@ class Server:
         self.tree = tree or core.default_tree()
         self._predictors = {}
         self._sessions = {}
+        self._connections = set()  # every open client connection, HELLO or not
         self._session_lock = threading.Lock()
         self._closing = False
         try:
@@ -452,6 +467,11 @@ class Server:
 
     def _handle(self, sock):
         conn = _Connection(sock)
+        with self._session_lock:
+            if self._closing:
+                conn.close()
+                return
+            self._connections.add(conn)
         session = None
         subscriber = None
         env = None
@@ -466,13 +486,19 @@ class Server:
                 except (BadMagic, CrcMismatch, TruncatedFrame, UnknownKind) as e:
                     conn.send_error(ERR_PROTOCOL, str(e))
                     return
+                except OSError:  # closed under us by Server.close()
+                    return
                 if env is None:
                     return
                 if env.kind == Kind.HELLO:
                     if session is not None:
                         refuse(ERR_PROTOCOL, "session already open")
                         return
-                    model = decode_hello(env.payload)
+                    try:
+                        model = decode_hello(env.payload)
+                    except ValueError as e:
+                        refuse(ERR_PROTOCOL, str(e))
+                        return
                     if model not in self.registry:
                         refuse(ERR_UNKNOWN_MODEL, f"unknown model {model!r}")
                         return
@@ -506,11 +532,16 @@ class Server:
                         refuse(ERR_PROTOCOL, "sequence numbers must increase")
                         return
                     session.last_sensor_seq = env.sequence
-                    if env.kind == Kind.HMD_FRAME:
-                        session.push_sensor(env)
-                    else:
-                        z, zeta = decode_keypoint_payload(env.payload)
-                        session.latest_keypoints = (env.timestamp, z, zeta)
+                    try:
+                        if env.kind == Kind.HMD_FRAME:
+                            session.push_sensor(*decode_hmd_payload(env.payload))
+                        else:
+                            session.latest_keypoints = (
+                                env.timestamp, *decode_keypoint_payload(env.payload)
+                            )
+                    except ValueError as e:
+                        refuse(ERR_PROTOCOL, str(e))
+                        return
                 else:
                     return
         finally:
@@ -520,25 +551,32 @@ class Server:
                 subscriber.stop()
             else:
                 conn.close()
+            with self._session_lock:
+                self._connections.discard(conn)
 
     def session_count(self):
         with self._session_lock:
             return len(self._sessions)
 
     def close(self):
-        """Stop accepting, drain in-flight work, close all sessions."""
-        self._closing = True
+        """Stop accepting, drain in-flight work, close all sessions and then
+        every remaining connection, including those that never sent HELLO."""
+        with self._session_lock:
+            self._closing = True
+            sessions = list(self._sessions.values())
         try:
             self._listener.close()
         except OSError:
             pass
-        with self._session_lock:
-            sessions = list(self._sessions.values())
         for s in sessions:
             s.stopping.set()
         for s in sessions:
             s.worker.join(timeout=2.0)
             s.close()
+        with self._session_lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
 
 
 def serve(address, registry: dict, tree=None) -> Server:
@@ -594,10 +632,9 @@ class Client:
         return self.recv()
 
     def recv(self):
-        try:
-            return read_envelope(self.sock)
-        except OSError:
-            return None
+        """Next envelope; None once the server has closed the connection.
+        Raises TimeoutError when nothing arrives within the client timeout."""
+        return read_envelope(self.sock)
 
     def close(self):
         try:

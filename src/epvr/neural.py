@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 
@@ -134,13 +134,8 @@ def softmax(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def multi_head_attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, wo, bo, heads,
-                         attn_sink=None):
-    """Standard scaled dot-product attention; returns (n_q, S).
-
-    When attn_sink is a list, the (heads, n_q, n_k) softmax probabilities
-    are appended to it.
-    """
+def multi_head_attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, wo, bo, heads):
+    """Standard scaled dot-product attention; returns (n_q, S)."""
     nq, dim = q_in.shape
     nk = kv_in.shape[0]
     head_dim = dim // heads
@@ -148,17 +143,14 @@ def multi_head_attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, wo, bo, heads,
     k = (kv_in @ wk + bk).reshape(nk, heads, head_dim).transpose(1, 0, 2)
     v = (kv_in @ wv + bv).reshape(nk, heads, head_dim).transpose(1, 0, 2)
     scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
-    probs = softmax(scores)
-    if attn_sink is not None:
-        attn_sink.append(probs)
-    mixed = (probs @ v).transpose(1, 0, 2).reshape(nq, dim)
+    mixed = (softmax(scores) @ v).transpose(1, 0, 2).reshape(nq, dim)
     return mixed @ wo + bo
 
 
-def _encoder_layer(x, lw: LayerWeights, heads, attn_sink):
+def _encoder_layer(x, lw: LayerWeights, heads):
     h = layer_norm(x, lw.ln1_g, lw.ln1_b)
     x = x + multi_head_attention(
-        h, h, lw.wq, lw.bq, lw.wk, lw.bk, lw.wv, lw.bv, lw.wo, lw.bo, heads, attn_sink
+        h, h, lw.wq, lw.bq, lw.wk, lw.bk, lw.wv, lw.bv, lw.wo, lw.bo, heads
     )
     h = layer_norm(x, lw.ln2_g, lw.ln2_b)
     return x + np.maximum(h @ lw.ff_w1 + lw.ff_b1, 0.0) @ lw.ff_w2 + lw.ff_b2
@@ -169,7 +161,7 @@ def _check_finite(x, stage):
         raise NonFiniteActivation(f"non-finite values after {stage}")
 
 
-def spatiotemporal_encode(window, w: EncoderWeights, heads: int, attn_sink=None):
+def spatiotemporal_encode(window, w: EncoderWeights, heads: int):
     """Encode a (T, D) temporal stack into (joints, model_dim) features."""
     window = np.asarray(window, dtype=np.float64)
     if window.ndim != 2:
@@ -182,18 +174,18 @@ def spatiotemporal_encode(window, w: EncoderWeights, heads: int, attn_sink=None)
     x = window @ w.embed_w + w.embed_b + w.pos[:t]
     _check_finite(x, "embedding")
     for lw in w.frame_layers:
-        x = _encoder_layer(x, lw, heads, attn_sink)
+        x = _encoder_layer(x, lw, heads)
     _check_finite(x, "frame encoder")
     summary = np.maximum(x[-1] @ w.summary_w1 + w.summary_b1, 0.0) @ w.summary_w2 + w.summary_b2
     joints = summary.reshape(w.joint_embed.shape) + w.joint_embed
     _check_finite(joints, "joint summary")
     for lw in w.joint_layers:
-        joints = _encoder_layer(joints, lw, heads, attn_sink)
+        joints = _encoder_layer(joints, lw, heads)
     _check_finite(joints, "joint encoder")
     return joints
 
 
-def cross_attention_fuse(m, n, w: FusionWeights, heads: int, attn_sink=None):
+def cross_attention_fuse(m, n, w: FusionWeights, heads: int):
     """Let motion features m attend over visual features n; shape preserved."""
     m = np.asarray(m, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
@@ -202,7 +194,7 @@ def cross_attention_fuse(m, n, w: FusionWeights, heads: int, attn_sink=None):
     q_in = layer_norm(m, w.ln_q_g, w.ln_q_b)
     kv_in = layer_norm(n, w.ln_kv_g, w.ln_kv_b)
     x = m + multi_head_attention(
-        q_in, kv_in, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo, heads, attn_sink
+        q_in, kv_in, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo, heads
     )
     h = layer_norm(x, w.ln_ff_g, w.ln_ff_b)
     out = x + np.maximum(h @ w.ff_w1 + w.ff_b1, 0.0) @ w.ff_w2 + w.ff_b2
@@ -305,35 +297,30 @@ def init_weights(cfg: NetConfig = NetConfig(), seed: int = 0):
 MAGIC = b"EPVR"
 VERSION = 1
 _DTYPE_F32 = 0
-
-_CONFIG_FIELDS = (
-    "motion_dim", "keypoint_dim", "model_dim", "heads", "layers",
-    "window", "joints", "ff_mult", "summary_hidden", "decoder_hidden",
-)
+_PARTS = ("motion", "visual", "fusion")
 
 
-def _flatten(motion, visual, fusion, cfg):
-    tensors = {"config": np.array([getattr(cfg, f) for f in _CONFIG_FIELDS], dtype=np.float64)}
-
-    def add_encoder(prefix, enc):
-        for name in ("embed_w", "embed_b", "pos", "summary_w1", "summary_b1",
-                     "summary_w2", "summary_b2", "joint_embed"):
-            tensors[f"{prefix}.{name}"] = getattr(enc, name)
-        for group, layers in (("frame", enc.frame_layers), ("joint", enc.joint_layers)):
-            for i, lw in enumerate(layers):
-                for f in fields(LayerWeights):
-                    tensors[f"{prefix}.{group}.{i}.{f.name}"] = getattr(lw, f.name)
-
-    add_encoder("motion", motion)
-    add_encoder("visual", visual)
-    for f in fields(FusionWeights):
-        tensors[f"fusion.{f.name}"] = getattr(fusion, f.name)
-    return tensors
+def _map_tensors(obj, prefix, leaf):
+    """Copy of a weights dataclass with leaf(name, array) in place of each
+    array. The dataclass fields are the file's schema: a tensor is named by
+    its field path, and a layer list field `<group>_layers` contributes
+    `<group>.<index>` to the path."""
+    values = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, list):
+            group = f"{prefix}.{f.name.removesuffix('_layers')}"
+            values[f.name] = [_map_tensors(v, f"{group}.{i}", leaf) for i, v in enumerate(value)]
+        else:
+            values[f.name] = leaf(f"{prefix}.{f.name}", value)
+    return type(obj)(**values)
 
 
 def save_weights(path, motion: EncoderWeights, visual: EncoderWeights,
                  fusion: FusionWeights, cfg: NetConfig):
-    tensors = _flatten(motion, visual, fusion, cfg)
+    tensors = {"config": np.array(astuple(cfg), dtype=np.float64)}
+    for prefix, part in zip(_PARTS, (motion, visual, fusion)):
+        _map_tensors(part, prefix, tensors.setdefault)
     names = sorted(tensors)
     payload = bytearray()
     directory = bytearray()
@@ -413,56 +400,20 @@ def load_weights(path):
     if "config" not in tensors:
         raise ShapeMismatch("missing config tensor")
     cfg_vals = [int(round(v)) for v in tensors["config"]]
-    if len(cfg_vals) != len(_CONFIG_FIELDS):
+    if len(cfg_vals) != len(fields(NetConfig)):
         raise ShapeMismatch("config tensor has wrong length")
-    cfg = NetConfig(**dict(zip(_CONFIG_FIELDS, cfg_vals)))
+    cfg = NetConfig(*cfg_vals)
 
-    def take(name, shape):
+    def take(name, expected):
         if name not in tensors:
             raise ShapeMismatch(f"missing tensor {name}")
         arr = tensors[name]
-        if arr.shape != shape:
-            raise ShapeMismatch(f"tensor {name}: expected {shape}, got {arr.shape}")
+        if arr.shape != expected.shape:
+            raise ShapeMismatch(f"tensor {name}: expected {expected.shape}, got {arr.shape}")
         return arr
 
-    def read_layer(prefix):
-        s = cfg.model_dim
-        ff = cfg.ff_mult * s
-        shapes = {
-            "ln1_g": (s,), "ln1_b": (s,), "wq": (s, s), "bq": (s,), "wk": (s, s),
-            "bk": (s,), "wv": (s, s), "bv": (s,), "wo": (s, s), "bo": (s,),
-            "ln2_g": (s,), "ln2_b": (s,), "ff_w1": (s, ff), "ff_b1": (ff,),
-            "ff_w2": (ff, s), "ff_b2": (s,),
-        }
-        return LayerWeights(**{k: take(f"{prefix}.{k}", v) for k, v in shapes.items()})
-
-    def read_encoder(prefix, input_dim):
-        s = cfg.model_dim
-        return EncoderWeights(
-            embed_w=take(f"{prefix}.embed_w", (input_dim, s)),
-            embed_b=take(f"{prefix}.embed_b", (s,)),
-            pos=take(f"{prefix}.pos", (cfg.window, s)),
-            frame_layers=[read_layer(f"{prefix}.frame.{i}") for i in range(cfg.layers)],
-            summary_w1=take(f"{prefix}.summary_w1", (s, cfg.summary_hidden)),
-            summary_b1=take(f"{prefix}.summary_b1", (cfg.summary_hidden,)),
-            summary_w2=take(f"{prefix}.summary_w2", (cfg.summary_hidden, cfg.joints * s)),
-            summary_b2=take(f"{prefix}.summary_b2", (cfg.joints * s,)),
-            joint_embed=take(f"{prefix}.joint_embed", (cfg.joints, s)),
-            joint_layers=[read_layer(f"{prefix}.joint.{i}") for i in range(cfg.layers)],
-        )
-
-    motion = read_encoder("motion", cfg.motion_dim)
-    visual = read_encoder("visual", cfg.keypoint_dim)
-    s, h = cfg.model_dim, cfg.decoder_hidden
-    ff = cfg.ff_mult * s
-    fusion_shapes = {
-        "ln_q_g": (s,), "ln_q_b": (s,), "ln_kv_g": (s,), "ln_kv_b": (s,),
-        "wq": (s, s), "bq": (s,), "wk": (s, s), "bk": (s,), "wv": (s, s), "bv": (s,),
-        "wo": (s, s), "bo": (s,), "ln_ff_g": (s,), "ln_ff_b": (s,),
-        "ff_w1": (s, ff), "ff_b1": (ff,), "ff_w2": (ff, s), "ff_b2": (s,),
-        "dec_root_w1": (s, h), "dec_root_b1": (h,), "dec_root_w2": (h, 6),
-        "dec_root_b2": (6,), "dec_local_w1": (s, h), "dec_local_b1": (h,),
-        "dec_local_w2": (h, 6), "dec_local_b2": (6,),
-    }
-    fusion = FusionWeights(**{k: take(f"fusion.{k}", v) for k, v in fusion_shapes.items()})
+    # the expected names and shapes are those of the weights cfg describes
+    motion, visual, fusion = (
+        _map_tensors(part, prefix, take) for prefix, part in zip(_PARTS, init_weights(cfg))
+    )
     return motion, visual, fusion, cfg

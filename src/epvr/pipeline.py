@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, descriptor, eval as evalmod, kinematics, kpo, neural, refine
+from . import core, descriptor, eval as evalmod, kinematics, kpo, neural, refine, replayfile
 from .errors import FileFormat, FrameCountMismatch
 from .filtering import VectorFilterBank
 
@@ -110,6 +110,17 @@ class NeuralPredictor:
         return neural.decode_pose(m, self.fusion_w)
 
 
+def _gt_from_record(rec):
+    """Ground-truth (rotations (J, 6), positions (J, 3)) annotated on a motion
+    file record, or None."""
+    if "gt" not in rec:
+        return None
+    gt = rec["gt"]
+    rots = np.array(gt["r6"], dtype=np.float64).reshape(-1, 6)
+    pos = np.array(gt["p"], dtype=np.float64).reshape(-1, 3)
+    return rots, pos
+
+
 class ReplayPredictor:
     """Ground-truth rotations looked up by timestamp from an annotated file."""
 
@@ -123,9 +134,9 @@ class ReplayPredictor:
     def from_motion_file(path):
         records = []
         for head, _, _, rec in descriptor.read_motion_file(path):
-            if "gt" in rec:
-                gt = rec["gt"]
-                rots = np.array(gt["r6"], dtype=np.float64).reshape(-1, 6)
+            gt = _gt_from_record(rec)
+            if gt is not None:
+                rots = gt[0]
                 records.append((head.timestamp, core.FullBodyPose(rots[0], rots[1:])))
         return ReplayPredictor(records)
 
@@ -279,15 +290,6 @@ class ReplayReport:
         return evalmod.render_report(doc)
 
 
-def _gt_from_record(rec):
-    if "gt" not in rec:
-        return None
-    gt = rec["gt"]
-    rots = np.array(gt["r6"], dtype=np.float64).reshape(-1, 6)
-    pos = np.array(gt["p"], dtype=np.float64).reshape(-1, 3)
-    return rots, pos
-
-
 def run_replay(motion_path, keypoint_path, config: PipelineConfig,
                tree: core.KinematicTree | None = None) -> ReplayReport:
     """Stream a replay file through one session and aggregate metrics.
@@ -343,7 +345,7 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig,
 def write_sequence_files(seq: evalmod.SyntheticSequence, motion_path, keypoint_path,
                          noise_sigma: float = 0.0, noise_seed: int = 0):
     """Serialize a synthetic sequence to replay files with gt annotations."""
-    with descriptor.MotionWriter(motion_path) as mw:
+    with replayfile.ReplayWriter(motion_path, descriptor.MOTION_FORMAT) as mw:
         for i in range(seq.frame_count):
             rots = seq.poses[i].stacked_rotations()
             gt = {
@@ -352,12 +354,12 @@ def write_sequence_files(seq: evalmod.SyntheticSequence, motion_path, keypoint_p
                     "p": [[float(v) for v in row] for row in seq.positions[i]],
                 }
             }
-            mw.write(seq.head[i], seq.left[i], seq.right[i], extra=gt)
+            mw.write(descriptor.motion_record(seq.head[i], seq.left[i], seq.right[i], extra=gt))
     if keypoint_path:
         if noise_sigma > 0.0:
             z, zeta = evalmod.noisy_keypoints(seq, noise_sigma, noise_seed)
         else:
             z, zeta = evalmod.clean_keypoints(seq)
-        with refine.KeypointWriter(keypoint_path) as kw:
+        with replayfile.ReplayWriter(keypoint_path, refine.KEYPOINT_FORMAT) as kw:
             for i in range(seq.frame_count):
-                kw.write(seq.timestamps[i], z[i], zeta[i])
+                kw.write(refine.keypoint_record(seq.timestamps[i], z[i], zeta[i]))

@@ -17,11 +17,10 @@ must pick one and stay with it.
 
 from __future__ import annotations
 
-import json
-
 import numpy as np
 
-from .errors import FileFormat, ShapeError
+from . import replayfile
+from .errors import ShapeError
 from .filtering import DEFAULT_BETA, DEFAULT_D_CUTOFF, DEFAULT_MIN_CUTOFF, VectorFilterBank
 
 
@@ -93,63 +92,28 @@ def refine_normalized(stream: KeypointStream, t: float, keypoints=None):
 
 
 # ---------------------------------------------------------------------------
-# Keypoint replay files: header line, then one JSON record per frame.
+# Keypoint replay files (see replayfile).
 
-KEYPOINT_HEADER = {
-    "format": "epvr-keypoints",
-    "version": 1,
-    "coordinate_convention": {"handedness": "right", "up": "y"},
-    "units": "meters",
-}
+KEYPOINT_FORMAT = "epvr-keypoints"
 
 
-class KeypointWriter:
-    def __init__(self, path):
-        self._fh = open(path, "w")
-        self._fh.write(json.dumps(KEYPOINT_HEADER) + "\n")
+def keypoint_record(t, positions, visibility) -> dict:
+    """One keypoint file frame record: positions (J, 3), visibility (J,)."""
+    return {
+        "t": float(t),
+        "Z": [[float(v) for v in row] for row in np.asarray(positions)],
+        "zeta": [float(v) for v in np.asarray(visibility)],
+    }
 
-    def write(self, t, positions, visibility):
-        positions = np.asarray(positions)
-        visibility = np.asarray(visibility)
-        rec = {
-            "t": float(t),
-            "Z": [[float(v) for v in row] for row in positions],
-            "zeta": [float(v) for v in visibility],
-        }
-        self._fh.write(json.dumps(rec) + "\n")
 
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+def _keypoint_frame(rec):
+    return (
+        float(rec["t"]),
+        np.array(rec["Z"], dtype=np.float64),
+        np.array(rec["zeta"], dtype=np.float64),
+    )
 
 
 def read_keypoint_file(path):
     """Load every frame: list of (t, positions (J,3), visibility (J,)) tuples."""
-    frames = []
-    with open(path) as fh:
-        try:
-            head_doc = json.loads(fh.readline())
-        except json.JSONDecodeError as e:
-            raise FileFormat(f"bad keypoint file header: {e}") from None
-        if head_doc.get("format") != "epvr-keypoints":
-            raise FileFormat(f"not a keypoint replay file: {path}")
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                frames.append(
-                    (
-                        float(rec["t"]),
-                        np.array(rec["Z"], dtype=np.float64),
-                        np.array(rec["zeta"], dtype=np.float64),
-                    )
-                )
-            except (json.JSONDecodeError, KeyError, ValueError) as e:
-                raise FileFormat(f"{path}:{lineno}: bad frame record ({e})") from None
-    return frames
+    return replayfile.read_replay(path, KEYPOINT_FORMAT, _keypoint_frame)

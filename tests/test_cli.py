@@ -1,0 +1,58 @@
+"""Golden replay through the command line: synth a walk, replay it with
+the default config and with KPO ablated, and compare every metric to the
+values the pipeline produced when they were recorded (fps left out)."""
+
+import json
+
+import pytest
+
+from epvr import cli, eval as evalmod, pipeline
+
+GOLDEN = {
+    (): {
+        "mpjpe": (61.135029810295, 2.3647694589396386),
+        "mpjpe_u": (23.661310705041878, 1.875471847805114),
+        "mpjpe_l": (115.2637351845495, 3.4446897493612267),
+        "pa_mpjpe": (41.28467781949209, 0.9114321483077705),
+        "mpjre": (141.1083013227673, 4.656705155779409),
+    },
+    ("--ablate", "kpo"): {
+        "mpjpe": (75.76219896282251, 4.564337222644556),
+        "mpjpe_u": (48.171854455495435, 5.631437729674615),
+        "mpjpe_l": (115.61491880673938, 3.4949378972006837),
+        "pa_mpjpe": (40.23963808416888, 1.6470851633242687),
+        "mpjre": (141.1083013227673, 4.656705155779409),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def walk_files(tmp_path_factory):
+    prefix = str(tmp_path_factory.mktemp("golden") / "walk")
+    argv = ["synth", "--motion", "walk", "--duration", "2", "--seed", "3",
+            "--noise", "0.01", "--out", prefix]
+    assert cli.main(argv) == 0
+    return prefix + ".motion.jsonl", prefix + ".keypoints.jsonl"
+
+
+@pytest.mark.parametrize("extra", list(GOLDEN), ids=["default", "ablate-kpo"])
+def test_replay_metrics_match_the_golden_values(walk_files, capsys, extra):
+    motion, keypoints = walk_files
+    capsys.readouterr()
+    argv = ["replay", "--motion", motion, "--keypoints", keypoints, "--json", *extra]
+    assert cli.main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["frames"] == 120
+    assert set(doc["metrics"]) == set(GOLDEN[extra])
+    for name, (mean, std) in GOLDEN[extra].items():
+        got = doc["metrics"][name]
+        assert abs(got["mean"] - mean) <= 1e-9, name
+        assert abs(got["std"] - std) <= 1e-9, name
+
+
+def test_bench_replays_the_walk_past_its_end_with_shifted_timestamps():
+    config = pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False,
+                                     use_fusion=False, use_kpo=False)
+    seq = evalmod.generate_sequence("walk", 10 / 60.0, 60.0, seed=7)
+    fps, stages = cli._bench_once(config, 3 * seq.frame_count + 1, seq)
+    assert fps > 0 and set(stages) == set(pipeline.STAGES)

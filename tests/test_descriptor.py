@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epvr import core, descriptor
+from epvr import core, descriptor, replayfile
 from epvr.errors import FileFormat, NonMonotonicTime, StaleFrame, TimestampSkew
 
 import oracles
@@ -168,7 +168,7 @@ def test_motion_file_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     path = tmp_path / "motion.jsonl"
     poses = []
-    with descriptor.MotionWriter(path) as writer:
+    with replayfile.ReplayWriter(path, descriptor.MOTION_FORMAT) as writer:
         for i in range(5):
             frame = tuple(
                 _pose(t=i / 60, pos=rng.standard_normal(3), rot=oracles.random_rotation(rng),
@@ -176,7 +176,7 @@ def test_motion_file_round_trip(tmp_path):
                 for _ in range(3)
             )
             poses.append(frame)
-            writer.write(*frame, extra={"note": i})
+            writer.write(descriptor.motion_record(*frame, extra={"note": i}))
     frames = descriptor.read_motion_file(path)
     assert len(frames) == 5
     for (head, left, right, rec), want in zip(frames, poses):

@@ -200,7 +200,7 @@ def test_generated_bones_stay_rigid(kind):
     seq = evalmod.generate_sequence(kind, 1.0, 30.0, seed=2)
     rest = seq.tree.rest_lengths()
     for i in range(seq.frame_count):
-        lengths, _ = kinematics.bone_vectors(seq.positions[i], seq.tree)
+        _, lengths = kinematics.bone_vectors(seq.positions[i], seq.tree)
         assert np.max(np.abs(lengths - rest)) < 1e-9
 
 

@@ -82,7 +82,7 @@ def test_rigidity_over_random_rotations():
     for _ in range(200):
         pose = _random_pose(rng)
         pos = kinematics.forward_kinematics(pose, tree, anchor)
-        lengths, _ = kinematics.bone_vectors(pos, tree)
+        _, lengths = kinematics.bone_vectors(pos, tree)
         assert np.max(np.abs(lengths - rest)) < 1e-9
 
 
@@ -118,19 +118,19 @@ def test_head_orientation_flag_pre_rotates_root():
 def test_bone_vectors_identity_pose():
     tree = core.default_tree()
     pos = _cumulative_offsets(tree)
-    lengths, dirs = kinematics.bone_vectors(pos, tree)
+    disp, lengths = kinematics.bone_vectors(pos, tree)
     assert np.max(np.abs(lengths - tree.rest_lengths())) < 1e-12
-    assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, atol=1e-12)
+    assert np.allclose(np.linalg.norm(disp / lengths[:, None], axis=1), 1.0, atol=1e-12)
 
 
 def test_bone_vectors_translation_invariant():
     tree = core.default_tree()
     rng = np.random.default_rng(55)
     pos = _cumulative_offsets(tree) + 0.01 * rng.standard_normal((22, 3))
-    l0, d0 = kinematics.bone_vectors(pos, tree)
-    l1, d1 = kinematics.bone_vectors(pos + np.array([5.0, -2.0, 1.0]), tree)
+    d0, l0 = kinematics.bone_vectors(pos, tree)
+    d1, l1 = kinematics.bone_vectors(pos + np.array([5.0, -2.0, 1.0]), tree)
     assert np.max(np.abs(l0 - l1)) < 1e-12
-    assert np.max(np.abs(d0 - d1)) < 1e-12
+    assert np.max(np.abs(d0 / l0[:, None] - d1 / l1[:, None])) < 1e-12
 
 
 def test_bone_vectors_match_direct_arithmetic():
@@ -138,11 +138,11 @@ def test_bone_vectors_match_direct_arithmetic():
     rng = np.random.default_rng(56)
     anchor = kinematics.WorldAnchor(rng.standard_normal(3), core.IDENTITY_6D)
     pos = kinematics.forward_kinematics(_random_pose(rng), tree, anchor)
-    lengths, dirs = kinematics.bone_vectors(pos, tree)
+    disp, lengths = kinematics.bone_vectors(pos, tree)
     for k, (child, parent) in enumerate(tree.edges):
         diff = pos[child] - pos[parent]
         assert abs(lengths[k] - np.linalg.norm(diff)) < 1e-12
-        assert np.max(np.abs(dirs[k] - diff / np.linalg.norm(diff))) < 1e-12
+        assert np.array_equal(disp[k], diff)
 
 
 def test_bone_vectors_zero_length_rejected():
@@ -150,3 +150,27 @@ def test_bone_vectors_zero_length_rejected():
     pos = np.zeros((22, 3))
     with pytest.raises(ZeroLengthBone):
         kinematics.bone_vectors(pos, tree)
+
+
+def test_bone_vectors_nan_rejected():
+    tree = core.default_tree()
+    pos = _cumulative_offsets(tree)
+    pos[5] = np.nan
+    with pytest.raises(ZeroLengthBone, match="joint 5"):
+        kinematics.bone_vectors(pos, tree)
+
+
+def test_forward_chain_rotations_are_the_ancestor_products():
+    tree = core.default_tree()
+    rng = np.random.default_rng(57)
+    pose = _random_pose(rng)
+    anchor = kinematics.WorldAnchor([0, 1.6, 0], core.IDENTITY_6D)
+    pos, rot = kinematics.forward_chain(pose, tree, anchor)
+    assert np.array_equal(pos, kinematics.forward_kinematics(pose, tree, anchor))
+    local = core.rot6d_to_matrix(pose.stacked_rotations())
+    for j in range(tree.joint_count):
+        expected, k = np.eye(3), j
+        while k >= 0:
+            expected = local[k] @ expected
+            k = tree.parent[k]
+        assert np.max(np.abs(rot[j] - expected)) < 1e-12

@@ -252,3 +252,80 @@ def test_refused_connection_is_closed_by_the_server(server):
         assert net.read_envelope(sock) is None
     finally:
         sock.close()
+
+
+# --- malformed payloads ---------------------------------------------------------
+
+
+def _hello_then(client, kind, payload):
+    client.hello(MODEL)
+    _send(client, kind, 1, payload)
+
+
+@pytest.mark.parametrize("payload", [
+    b"\x05",  # no room for the length prefix
+    net.encode_hello(MODEL)[:-1],  # prefix promises one byte more
+    net.encode_hello(MODEL) + b"x",  # one byte the prefix does not cover
+    b"\x02\x00\xff\xfe",  # not UTF-8
+])
+def test_malformed_hello_is_refused(server, payload):
+    client = _client(server)
+    try:
+        _send(client, net.Kind.HELLO, 0, payload)
+        assert _error_code(client) == net.ERR_PROTOCOL
+        assert server.session_count() == 0
+    finally:
+        client.close()
+
+
+def test_malformed_hmd_frame_is_refused(server, walk):
+    client = _client(server)
+    try:
+        _hello_then(client, net.Kind.HMD_FRAME, bytes(10))
+        assert _error_code(client) == net.ERR_PROTOCOL
+    finally:
+        client.close()
+    good = net.encode_hmd_payload(walk.head[0], walk.left[0], walk.right[0])
+    for bad in (good[:-1], good + bytes(8), b""):
+        with pytest.raises(ValueError):
+            net.decode_hmd_payload(bad)
+
+
+def test_malformed_keypoint_frame_is_refused(server):
+    good = net.encode_keypoint_payload(np.zeros((22, 3)), np.ones(22))
+    client = _client(server)
+    try:
+        _hello_then(client, net.Kind.KEYPOINT_FRAME, good[:-8])
+        assert _error_code(client) == net.ERR_PROTOCOL
+    finally:
+        client.close()
+    for bad in (good[:3], good + bytes(32), b"\xff\xff\xff\xff"):
+        with pytest.raises(ValueError):
+            net.decode_keypoint_payload(bad)
+
+
+# --- shutdown and the client's end of stream -------------------------------------
+
+
+def test_close_ends_connections_that_never_sent_hello(server):
+    sock = socket.create_connection(server.address, timeout=TIMEOUT)
+    try:
+        time.sleep(0.05)  # let the server's handler block in its first read
+        t0 = time.perf_counter()
+        server.close()
+        assert net.read_envelope(sock) is None
+        assert time.perf_counter() - t0 < 1.0
+    finally:
+        sock.close()
+
+
+def test_recv_tells_a_slow_server_from_a_closed_one(server):
+    client = net.Client(*server.address, timeout=0.2)
+    try:
+        client.hello(MODEL)
+        with pytest.raises(TimeoutError):
+            client.recv()  # open session, no frame sent: nothing to read
+        server.close()
+        assert client.recv() is None
+    finally:
+        client.close()

@@ -44,17 +44,24 @@ def test_output_shape_is_joints_by_model_dim():
         assert out.shape == (SMALL.joints, SMALL.model_dim)
 
 
-def test_attention_rows_sum_to_one():
+def test_attention_rows_sum_to_one(monkeypatch):
     motion, visual, fusion = neural.init_weights(SMALL, seed=4)
     rng = np.random.default_rng(5)
     sink = []
+    softmax = neural.softmax
+
+    def recording_softmax(scores):
+        sink.append(softmax(scores))
+        return sink[-1]
+
+    monkeypatch.setattr(neural, "softmax", recording_softmax)
     m = neural.spatiotemporal_encode(
-        rng.standard_normal((SMALL.window, SMALL.motion_dim)), motion, SMALL.heads, sink
+        rng.standard_normal((SMALL.window, SMALL.motion_dim)), motion, SMALL.heads
     )
     n = neural.spatiotemporal_encode(
-        rng.standard_normal((SMALL.window, SMALL.keypoint_dim)), visual, SMALL.heads, sink
+        rng.standard_normal((SMALL.window, SMALL.keypoint_dim)), visual, SMALL.heads
     )
-    neural.cross_attention_fuse(m, n, fusion, SMALL.heads, sink)
+    neural.cross_attention_fuse(m, n, fusion, SMALL.heads)
     assert len(sink) == 2 * (2 * SMALL.layers) + 1
     for probs in sink:
         assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-6
@@ -278,7 +285,6 @@ def test_indivisible_heads_rejected(tmp_path):
 
 def test_missing_tensor_rejected(tmp_path):
     motion, visual, fusion = neural.init_weights(SMALL, seed=30)
-    tensors = neural._flatten(motion, visual, fusion, SMALL)
     # re-save without one tensor by monkey-building the file
     path = tmp_path / "weights.epvr"
     neural.save_weights(path, motion, visual, fusion, SMALL)
@@ -297,4 +303,54 @@ def test_missing_tensor_rejected(tmp_path):
     bad.write_bytes(bytes(blob))
     with pytest.raises(ShapeMismatch):
         neural.load_weights(bad)
-    assert "motion.frame.0.wq" in tensors
+    assert "motion.frame.0.wq" in name_to_off
+
+
+def _rewrite_weights(path, edit, version=neural.VERSION):
+    """Rewrite a weights file with edit(entries) applied to its directory.
+
+    entries maps name -> [dtype code, shape, float32 bytes]; the payload
+    offsets and the CRC are recomputed, so only the edit is malformed."""
+    import struct
+    import zlib
+
+    blob = path.read_bytes()
+    listed, payload = neural._read_directory(blob[:-4])
+    entries = {}
+    for name, dtype, shape, off in listed:
+        entries[name] = [dtype, shape, payload[off:off + 4 * int(np.prod(shape))]]
+    edit(entries)
+    directory = bytearray(struct.pack("<I", len(entries)))
+    data = bytearray()
+    for name, (dtype, shape, raw) in entries.items():
+        directory += struct.pack("<H", len(name)) + name.encode()
+        directory += struct.pack(f"<BB{len(shape)}IQ", dtype, len(shape), *shape, len(data))
+        data += raw
+    body = neural.MAGIC + struct.pack("<B", version) + directory
+    body += struct.pack("<Q", len(data)) + data
+    path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def _set(name, index, value):
+    def edit(entries):
+        entries[name][index] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit, version, error, match", [
+    (lambda e: None, 2, BadMagic, "version"),
+    (_set("fusion.wq", 0, 1), 1, ShapeMismatch, "dtype"),
+    (_set("visual.summary_w2", 2, b""), 1, ShapeMismatch, "out of range"),
+    (lambda e: e.pop("config"), 1, ShapeMismatch, "missing config"),
+    (_set("config", 1, (9,)), 1, ShapeMismatch, "wrong length"),
+    (lambda e: e.pop("visual.joint.0.ff_b2"), 1, ShapeMismatch, "missing tensor"),
+    (_set("fusion.ff_w1", 1, (32, 16)), 1, ShapeMismatch, "expected"),
+])
+def test_malformed_weights_file_rejected(tmp_path, edit, version, error, match):
+    path = tmp_path / "weights.epvr"
+    neural.save_weights(path, *neural.init_weights(SMALL, seed=31), SMALL)
+    _rewrite_weights(path, lambda entries: None)
+    neural.load_weights(path)  # the helper alone writes a valid file
+    _rewrite_weights(path, edit, version)
+    with pytest.raises(error, match=match):
+        neural.load_weights(path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from epvr import refine
+from epvr import refine, replayfile
 from epvr.errors import FileFormat, NonMonotonicTime, ShapeError
 
 import oracles
@@ -194,9 +194,9 @@ def test_keypoint_file_round_trip(tmp_path):
     rng = np.random.default_rng(42)
     path = tmp_path / "kp.jsonl"
     rows = [(i / 30, rng.standard_normal((4, 3)), rng.uniform(0, 1, 4)) for i in range(6)]
-    with refine.KeypointWriter(path) as writer:
+    with replayfile.ReplayWriter(path, refine.KEYPOINT_FORMAT) as writer:
         for t, z, zeta in rows:
-            writer.write(t, z, zeta)
+            writer.write(refine.keypoint_record(t, z, zeta))
     frames = refine.read_keypoint_file(path)
     assert len(frames) == 6
     for (t, z, zeta), (wt, wz, wzeta) in zip(frames, rows):
