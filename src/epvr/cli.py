@@ -154,6 +154,13 @@ def cmd_bench(args) -> int:
         fps_runs.append(fps)
         stage_means = stages
     mean, std = evalmod.summarize(fps_runs)
+    if args.json:
+        print(json.dumps({
+            "frames": args.frames,
+            "fps": {"runs": fps_runs, "mean": mean, "std": std},
+            "stage_us": {stage: stage_means[stage] for stage in pipeline.STAGES},
+        }, indent=2))
+        return 0
     print(f"fps {mean:.1f} ± {std:.1f}  ({args.runs} runs x {args.frames} frames)")
     for stage in pipeline.STAGES:
         print(f"stage.{stage}_us {stage_means[stage]:.1f}")
@@ -195,6 +202,7 @@ def main(argv=None) -> int:
     p.add_argument("--config", default=None)
     p.add_argument("--frames", type=int, default=2000)
     p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_bench)
 
     args = parser.parse_args(argv)

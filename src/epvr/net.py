@@ -14,6 +14,10 @@ unconsumed one (counted, not an error), so server memory stays bounded
 no matter how fast a client sends. Pose results go back to the input
 client and to any render subscribers of the same session; a subscriber
 that cannot keep up is dropped after a bounded backlog.
+
+Both ends set TCP_NODELAY. A fused frame is two small writes, KEYPOINT_FRAME
+then HMD_FRAME; with Nagle's algorithm on, the second waits in the sender's
+kernel until the peer's delayed ACK of the first (about 40 ms on Linux).
 """
 
 from __future__ import annotations
@@ -209,8 +213,12 @@ def encode_error_payload(code: int, message: str) -> bytes:
 
 
 def decode_error_payload(payload: bytes):
+    if len(payload) < 4:
+        raise ValueError(f"{len(payload)}-byte error payload has no code and length")
     code, n = struct.unpack_from("<HH", payload, 0)
-    return code, payload[4:4 + n].decode("utf-8")
+    if len(payload) != 4 + n:
+        raise ValueError(f"{len(payload)}-byte error payload does not hold a {n}-byte message")
+    return code, payload[4:].decode("utf-8")  # UnicodeDecodeError is a ValueError
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +443,13 @@ class Server:
         self.registry = dict(registry)
         self.tree = tree or core.default_tree()
         self._predictors = {}
+        for name, config in self.registry.items():
+            # a config the pipeline rejects is refused here, not by a handler thread at HELLO
+            try:
+                self._predictors[name] = pipeline.build_predictor(config, self.tree)
+                self.build_session(name)
+            except ValueError as e:
+                raise ValueError(f"model {name!r}: {e}") from None
         self._sessions = {}
         self._connections = set()  # every open client connection, HELLO or not
         self._session_lock = threading.Lock()
@@ -448,10 +463,9 @@ class Server:
         self._accept_thread.start()
 
     def build_session(self, model_name: str) -> pipeline.PipelineSession:
-        config = self.registry[model_name]
-        if model_name not in self._predictors:
-            self._predictors[model_name] = pipeline.build_predictor(config, self.tree)
-        return pipeline.PipelineSession(config, self.tree, self._predictors[model_name])
+        return pipeline.PipelineSession(
+            self.registry[model_name], self.tree, self._predictors[model_name]
+        )
 
     def drop_session(self, session_id):
         with self._session_lock:
@@ -466,6 +480,7 @@ class Server:
             threading.Thread(target=self._handle, args=(sock,), daemon=True).start()
 
     def _handle(self, sock):
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         conn = _Connection(sock)
         with self._session_lock:
             if self._closing:
@@ -588,11 +603,20 @@ def serve(address, registry: dict, tree=None) -> Server:
 # client
 
 
+def _error_of(env):
+    """(code, message) of an ERROR envelope; a malformed one is a ConnectionError."""
+    try:
+        return decode_error_payload(env.payload)
+    except ValueError as e:
+        raise ConnectionError(f"malformed ERROR from the server: {e}") from None
+
+
 class Client:
     """Input or render client speaking the envelope protocol."""
 
     def __init__(self, host, port, timeout: float = 10.0):
         self.sock = socket.create_connection((host, port), timeout=timeout)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.session_id = uuid.uuid4().bytes
         self._seq = 0
 
@@ -608,7 +632,7 @@ class Client:
         if env is None:
             raise ConnectionError("server closed during handshake")
         if env.kind == Kind.ERROR:
-            code, msg = decode_error_payload(env.payload)
+            code, msg = _error_of(env)
             if code == ERR_UNKNOWN_MODEL:
                 raise UnknownModel(msg)
             raise ConnectionError(msg)
@@ -618,7 +642,7 @@ class Client:
         self._send(Kind.SUBSCRIBE_RENDER, 0.0, session_id=session_id)
         env = self.recv()
         if env is not None and env.kind == Kind.ERROR:
-            raise ConnectionError(decode_error_payload(env.payload)[1])
+            raise ConnectionError(_error_of(env)[1])
         return env
 
     def send_hmd(self, head, left, right):

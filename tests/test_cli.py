@@ -56,3 +56,11 @@ def test_bench_replays_the_walk_past_its_end_with_shifted_timestamps():
     seq = evalmod.generate_sequence("walk", 10 / 60.0, 60.0, seed=7)
     fps, stages = cli._bench_once(config, 3 * seq.frame_count + 1, seq)
     assert fps > 0 and set(stages) == set(pipeline.STAGES)
+
+
+def test_bench_json_reports_every_run_and_stage(capsys):
+    capsys.readouterr()
+    assert cli.main(["bench", "--frames", "20", "--runs", "1", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["fps"]["runs"]) == 1 and doc["fps"]["mean"] == doc["fps"]["runs"][0]
+    assert set(doc["stage_us"]) == set(pipeline.STAGES)

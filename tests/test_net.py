@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from epvr import eval as evalmod, net, pipeline
+from epvr import eval as evalmod, kpo, net, pipeline
 
 TIMEOUT = 3.0
 MODEL = "hmd"
@@ -79,7 +79,97 @@ def test_pose_payload_rejects_lengths_that_fit_no_joint_count():
         net.encode_pose_payload(np.zeros((22, 6)), np.zeros((22, 3)), [0.0] * 2)
 
 
+def test_error_payload_must_hold_exactly_its_message():
+    good = net.encode_error_payload(net.ERR_PROTOCOL, "no")
+    assert net.decode_error_payload(good) == (net.ERR_PROTOCOL, "no")
+    for bad in (b"\x01", good[:-1], good + b"x", net.encode_error_payload(1, "ab")[:4] + b"\xff\xfe"):
+        with pytest.raises(ValueError):
+            net.decode_error_payload(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda client: client.hello(MODEL),
+    lambda client: client.subscribe(bytes(16)),
+], ids=["hello", "subscribe"])
+def test_malformed_error_reply_is_a_connection_error(call):
+    """A peer answering with a 1-byte ERROR payload fails the handshake with
+    ConnectionError, not with the decoder's exception."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def fake_server():
+        sock, _ = listener.accept()
+        with sock:
+            net.read_envelope(sock)
+            sock.sendall(net.encode(net.Envelope(net.Kind.ERROR, net.NO_SESSION, 0, 0.0, b"\x01")))
+            sock.recv(1)  # hold the connection open until the client closes it
+
+    thread = threading.Thread(target=fake_server, daemon=True)
+    thread.start()
+    client = net.Client(*listener.getsockname(), timeout=TIMEOUT)
+    try:
+        with pytest.raises(ConnectionError, match="malformed ERROR"):
+            call(client)
+    finally:
+        client.close()
+        thread.join(TIMEOUT)
+        listener.close()
+    assert not thread.is_alive()
+
+
+# --- transport ------------------------------------------------------------------
+
+
+def test_both_ends_set_tcp_nodelay(server):
+    client = _client(server)
+    try:
+        client.hello(MODEL)
+        with server._session_lock:
+            (conn,) = server._connections
+        for sock in (client.sock, conn.sock):
+            assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+    finally:
+        client.close()
+
+
+def test_two_envelope_frame_is_not_held_for_a_delayed_ack(server):
+    """A fused frame is KEYPOINT_FRAME then HMD_FRAME, two small writes.
+    With Nagle's algorithm on, the second waits for the server's delayed ACK
+    of the first, about 40 ms on Linux, on every frame."""
+    seq = evalmod.generate_sequence("walk", 40 / 60.0, 60.0, seed=3)
+    client = _client(server)
+    try:
+        client.hello(MODEL)
+        round_trips = []
+        for i in range(40):
+            t0 = time.perf_counter()
+            client.send_keypoints(seq.head[i].timestamp, seq.keypoints_cam[i],
+                                  seq.visibility[i].astype(np.float64))
+            client.send_hmd(seq.head[i], seq.left[i], seq.right[i])
+            assert client.recv().kind == net.Kind.POSE_RESULT
+            round_trips.append(time.perf_counter() - t0)
+        assert np.median(round_trips[10:]) < 0.015
+    finally:
+        client.close()
+
+
 # --- server lifecycle -----------------------------------------------------------
+
+
+def test_registry_the_pipeline_rejects_is_refused_at_start():
+    bad = pipeline.PipelineConfig(
+        predictor="heuristic", use_keypoints=False, use_fusion=False,
+        kpo=kpo.KpoConfig(observed=(0,)),
+    )
+    with pytest.raises(ValueError, match="'bad'"):
+        net.serve(("127.0.0.1", 0), {**REGISTRY, "bad": bad})
+    srv = net.serve(("127.0.0.1", 0), REGISTRY)
+    client = _client(srv)
+    try:
+        assert client.hello(MODEL).kind == net.Kind.HELLO
+    finally:
+        client.close()
+        srv.close()
+
 
 
 def test_close_ends_every_session_and_wakes_clients(server, walk):
