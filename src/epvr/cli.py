@@ -72,7 +72,7 @@ def cmd_serve(args) -> int:
         print(f"error: registry {args.models} defines no models", file=sys.stderr)
         return 2
     host, _, port = args.addr.partition(":")
-    server = net.serve((host or "127.0.0.1", int(port or 0)), registry)
+    server = net.Server((host or "127.0.0.1", int(port or 0)), registry)
     print(f"serving {sorted(registry)} on {server.address[0]}:{server.address[1]}")
     try:
         while True:
@@ -147,12 +147,10 @@ def cmd_bench(args) -> int:
         print("error: replay predictor benchmarks need replay_file in the config",
               file=sys.stderr)
         return 2
-    fps_runs = []
-    stage_means = None
-    for _ in range(args.runs):
-        fps, stages = _bench_once(config, args.frames, seq)
-        fps_runs.append(fps)
-        stage_means = stages
+    runs = [_bench_once(config, args.frames, seq) for _ in range(args.runs)]
+    fps_runs = [fps for fps, _ in runs]
+    stage_means = {stage: sum(stages[stage] for _, stages in runs) / args.runs
+                   for stage in pipeline.STAGES}
     mean, std = evalmod.summarize(fps_runs)
     if args.json:
         print(json.dumps({

@@ -6,8 +6,9 @@ Conventions used throughout the package:
 * rotations on the wire and in descriptors use the 6D representation:
   the first two columns of the rotation matrix, stored column-by-column
   as ``[c0x, c0y, c0z, c1x, c1y, c1z]``
-* the skeleton is the 22-joint SMPL main-body subset (no palm joints),
-  pelvis first, parents before children
+* the skeleton is a KinematicTree, pelvis first, parents before children,
+  and every joint count comes from it; the shipped default is the 22-joint
+  SMPL main-body subset (no palm joints)
 """
 
 from __future__ import annotations
@@ -115,9 +116,6 @@ class DevicePose:
         object.__setattr__(self, "linear_velocity", _freeze(self.linear_velocity, 3))
         object.__setattr__(self, "angular_velocity", _freeze(self.angular_velocity, 6))
 
-    def rotation_matrix(self):
-        return rot6d_to_matrix(self.orientation)
-
 
 def _freeze(values, length):
     arr = np.array(values, dtype=np.float64).reshape(length)
@@ -125,24 +123,12 @@ def _freeze(values, length):
     return arr
 
 
-def relative_pose(anchor: DevicePose, target: DevicePose):
-    """Express target's pose in the anchor device's frame.
-
-    Returns (position, orientation6d) with position = Ra^T (pt - pa) and
-    orientation the 6D form of Ra^T Rt.
-    """
-    ra = rot6d_to_matrix(anchor.orientation)
-    rt = rot6d_to_matrix(target.orientation)
-    rel_p = ra.T @ (target.position - anchor.position)
-    rel_r = ra.T @ rt
-    return rel_p, matrix_to_rot6d(rel_r)
-
-
 @dataclass(frozen=True)
 class FullBodyPose:
-    """Root global rotation plus 21 parent-relative rotations (6D each).
+    """Root global rotation plus J - 1 parent-relative rotations (6D each)
+    for a J-joint tree.
 
-    positions, when present, are the 22x3 world joint positions derived
+    positions, when present, are the J x 3 world joint positions derived
     by forward kinematics (or adjusted afterwards by the pose optimizer).
     """
 
@@ -152,7 +138,7 @@ class FullBodyPose:
 
     def __post_init__(self):
         object.__setattr__(self, "root_rotation", _freeze(self.root_rotation, 6))
-        locals_ = np.array(self.local_rotations, dtype=np.float64).reshape(21, 6)
+        locals_ = np.array(self.local_rotations, dtype=np.float64).reshape(-1, 6)
         locals_.flags.writeable = False
         object.__setattr__(self, "local_rotations", locals_)
         if self.positions is not None:
@@ -161,16 +147,11 @@ class FullBodyPose:
             object.__setattr__(self, "positions", pos)
 
     def stacked_rotations(self):
-        """All 22 joint rotations as a (22, 6) array, root first."""
+        """All J joint rotations as a (J, 6) array, root first."""
         return np.concatenate([self.root_rotation[None, :], self.local_rotations], axis=0)
 
     def with_positions(self, positions):
         return FullBodyPose(self.root_rotation, self.local_rotations, positions)
-
-
-def rest_pose():
-    """Identity rotations for every joint, no positions."""
-    return FullBodyPose(IDENTITY_6D, np.tile(IDENTITY_6D, (21, 1)))
 
 
 ROOT_PARENT = -1
@@ -178,7 +159,7 @@ ROOT_PARENT = -1
 
 @dataclass(frozen=True)
 class KinematicTree:
-    """Parent indices, rest-pose bone offsets, and adjacency for a skeleton.
+    """Joint names, parent indices and rest-pose bone offsets of a skeleton.
 
     The shipped default is the 22-joint SMPL main-body subset; smaller
     trees (chains) are accepted as long as joint 0 is the only root and
@@ -218,51 +199,8 @@ class KinematicTree:
     def joint_count(self):
         return len(self.parent)
 
-    @property
-    def neighbors(self):
-        """Adjacency sets: joints directly linked to each joint."""
-        adj = [set() for _ in range(self.joint_count)]
-        for child in range(1, self.joint_count):
-            p = int(self.parent[child])
-            adj[child].add(p)
-            adj[p].add(child)
-        return tuple(tuple(sorted(s)) for s in adj)
-
-    @property
-    def edges(self):
-        """(child, parent) index pairs for every bone."""
-        return tuple((i, int(self.parent[i])) for i in range(1, self.joint_count))
-
     def joint_index(self, name):
         return self.names.index(name)
-
-    def rest_lengths(self):
-        return np.linalg.norm(self.rest_offset[1:], axis=1)
-
-    def save(self, path):
-        doc = {
-            "format": "epvr-skeleton",
-            "version": 1,
-            "coordinate_convention": {"handedness": "right", "up": "y"},
-            "units": "meters",
-            "joints": [
-                {
-                    "name": self.names[i],
-                    "parent": int(self.parent[i]),
-                    "offset": [float(v) for v in self.rest_offset[i]],
-                }
-                for i in range(self.joint_count)
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
-
-    @staticmethod
-    def load(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        return _tree_from_doc(doc)
 
 
 def _tree_from_doc(doc):
@@ -287,6 +225,9 @@ HEAD_JOINT = 15
 LEFT_HAND_JOINT = 20
 RIGHT_HAND_JOINT = 21
 OBSERVED_JOINTS = (HEAD_JOINT, LEFT_HAND_JOINT, RIGHT_HAND_JOINT)
+# Joint each tracked device sits on, in device order: headset, left
+# controller, right controller.
+TRACKED_JOINT_NAMES = ("head", "left_wrist", "right_wrist")
 
 
 def axis_angle_matrix(axis, angle_rad):

@@ -11,8 +11,6 @@ headset frame.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import core, replayfile
@@ -54,14 +52,6 @@ def build_descriptor(head: core.DevicePose, left: core.DevicePose, right: core.D
     return out
 
 
-def split_descriptor(descriptor):
-    """Inverse of build_descriptor's concatenation: the five layout blocks."""
-    d = np.asarray(descriptor)
-    if d.shape != (DESCRIPTOR_DIM,):
-        raise ValueError(f"descriptor must have {DESCRIPTOR_DIM} entries, got {d.shape}")
-    return d[G_HEAD], d[G_LEFT], d[G_RIGHT], d[R_LEFT], d[R_RIGHT]
-
-
 def derive_velocities(prev: core.DevicePose, curr: core.DevicePose) -> core.DevicePose:
     """Fill velocity fields by finite differences over two consecutive poses.
 
@@ -76,53 +66,40 @@ def derive_velocities(prev: core.DevicePose, curr: core.DevicePose) -> core.Devi
     return core.DevicePose(curr.timestamp, curr.position, curr.orientation, v, w)
 
 
-@dataclass(frozen=True)
 class DescriptorWindow:
-    """Immutable T-frame stack of descriptors ending at end_timestamp.
+    """T-frame stack of descriptors ending at end_timestamp, owned by one
+    session and updated in place by push_frame.
 
     Until T distinct frames have been pushed, the earliest frame is
-    replicated backward so the window is always full.
+    replicated backward so the window is always full. end_timestamp is
+    None until the first push.
     """
 
-    frames: np.ndarray
-    end_timestamp: float
-
-    def __post_init__(self):
-        frames = np.asarray(self.frames, dtype=np.float64)
-        if frames.ndim != 2 or frames.shape[1] != DESCRIPTOR_DIM:
-            raise ValueError(f"window frames must be (T, {DESCRIPTOR_DIM}), got {frames.shape}")
-        frames.flags.writeable = False
-        object.__setattr__(self, "frames", frames)
-
-    @property
-    def window_length(self):
-        return self.frames.shape[0]
+    def __init__(self, window_length: int):
+        self.frames = np.empty((window_length, DESCRIPTOR_DIM))
+        self.end_timestamp = None
 
 
-def push_frame(window: DescriptorWindow | None, descriptor, timestamp: float,
-               window_length: int | None = None) -> DescriptorWindow:
-    """Append one frame with sliding-window semantics.
+def push_frame(window: DescriptorWindow, descriptor, timestamp: float):
+    """Append one frame in place with sliding-window semantics.
 
-    Passing window=None starts a new window (window_length required); the
-    first frame is replicated across all T rows. Later pushes drop the
-    oldest row. Raises StaleFrame when timestamp is not newer than the
-    window end.
+    The first push fills every row; later pushes drop the oldest row.
+    Raises StaleFrame, leaving the window unchanged, when timestamp is not
+    newer than the window end.
     """
     d = np.asarray(descriptor, dtype=np.float64)
     if d.shape != (DESCRIPTOR_DIM,):
         raise ValueError(f"descriptor must have {DESCRIPTOR_DIM} entries, got {d.shape}")
-    if window is None:
-        if window_length is None:
-            raise ValueError("window_length required for the first push")
-        return DescriptorWindow(np.tile(d, (window_length, 1)), timestamp)
-    if timestamp <= window.end_timestamp:
+    if window.end_timestamp is None:
+        window.frames[:] = d
+    elif timestamp <= window.end_timestamp:
         raise StaleFrame(
             f"frame at {timestamp} not newer than window end {window.end_timestamp}"
         )
-    frames = np.empty_like(window.frames)
-    frames[:-1] = window.frames[1:]
-    frames[-1] = d
-    return DescriptorWindow(frames, timestamp)
+    else:
+        window.frames[:-1] = window.frames[1:]
+        window.frames[-1] = d
+    window.end_timestamp = timestamp
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,13 @@ Metrics follow the usual conventions: position errors in centimeters,
 rotation errors in degrees, Procrustes alignment is the full similarity
 (rotation + translation + uniform scale) solved in closed form.
 
-The generator drives the 22-joint skeleton with parametric sinusoidal
-schedules (static / walk / squat / kick), derives device poses from the
-forward-kinematics head and wrist joints, and labels per-joint
-visibility by projecting through a downward-facing head camera. It is
-bit-reproducible for a fixed seed.
+The generator drives a skeleton with parametric sinusoidal schedules
+(static / walk / squat / kick) that name the joints they move, derives
+device poses from the forward-kinematics head and wrist joints, and labels
+per-joint visibility by projecting through a downward-facing head camera.
+Joint counts and indices come from the kinematic tree (the shipped
+22-joint one by default), and MPJPE-U / MPJPE-L split it at the spine1
+subtree. It is bit-reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -23,8 +25,15 @@ from .errors import DegenerateCloud, NotARotation, ShapeError, UnknownMotionKind
 
 M_TO_CM = 100.0
 
-UPPER_BODY_JOINTS = (3, 6, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)
-LOWER_BODY_JOINTS = (0, 1, 2, 4, 5, 7, 8, 10, 11)
+
+def body_halves(tree: core.KinematicTree):
+    """Ascending joint indices (upper, lower): the upper body is the spine1
+    subtree, the lower body every other joint."""
+    upper = np.zeros(tree.joint_count, dtype=bool)
+    upper[tree.joint_index("spine1")] = True
+    for j in range(1, tree.joint_count):
+        upper[j] |= upper[tree.parent[j]]
+    return tuple(np.flatnonzero(upper).tolist()), tuple(np.flatnonzero(~upper).tolist())
 
 
 def mpjpe(pred, gt, joints=None) -> float:
@@ -171,12 +180,11 @@ _X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 
-_L_SHOULDER, _R_SHOULDER = 16, 17
-_L_ELBOW, _R_ELBOW = 18, 19
-_L_HIP, _R_HIP = 1, 2
-_L_KNEE, _R_KNEE = 4, 5
-_L_ANKLE, _R_ANKLE = 7, 8
-_SPINE1, _NECK = 3, 12
+_L_SHOULDER, _R_SHOULDER = "left_shoulder", "right_shoulder"
+_L_HIP, _R_HIP = "left_hip", "right_hip"
+_L_KNEE, _R_KNEE = "left_knee", "right_knee"
+_L_ANKLE, _R_ANKLE = "left_ankle", "right_ankle"
+_SPINE1, _NECK = "spine1", "neck"
 
 
 @dataclass(frozen=True)
@@ -208,14 +216,11 @@ def _arms_down(side):
     return core.axis_angle_matrix(_Z, angle)
 
 
-def _schedule(kind, phase, rng_params):
-    """Local rotation matrices (22, 3, 3) for one frame of a motion kind."""
-    rots = [np.eye(3) for _ in range(22)]
+def _schedule(kind, phase, rng_params, tree: core.KinematicTree):
+    """Local rotation matrices (J, 3, 3) of the tree's joints for one frame
+    of a motion kind; joints the schedule does not name keep the identity."""
     a = rng_params
-    rots[_L_SHOULDER] = _arms_down("left")
-    rots[_R_SHOULDER] = _arms_down("right")
-    if kind == "static":
-        return rots
+    rots = {_L_SHOULDER: _arms_down("left"), _R_SHOULDER: _arms_down("right")}
     if kind == "walk":
         swing = a["leg_amp"] * math.sin(phase)
         rots[_L_HIP] = core.axis_angle_matrix(_X, swing)
@@ -229,8 +234,7 @@ def _schedule(kind, phase, rng_params):
         rots[_R_SHOULDER] = rots[_R_SHOULDER] @ core.axis_angle_matrix(_X, arm)
         rots[_SPINE1] = core.axis_angle_matrix(_Y, 0.06 * math.sin(phase))
         rots[_NECK] = core.axis_angle_matrix(_Y, -0.04 * math.sin(phase))
-        return rots
-    if kind == "squat":
+    elif kind == "squat":
         depth = a["squat_amp"] * 0.5 * (1.0 - math.cos(phase))
         rots[_L_HIP] = core.axis_angle_matrix(_X, -depth)
         rots[_R_HIP] = core.axis_angle_matrix(_X, -depth)
@@ -242,8 +246,7 @@ def _schedule(kind, phase, rng_params):
         rots[_L_SHOULDER] = rots[_L_SHOULDER] @ core.axis_angle_matrix(_X, -reach)
         rots[_R_SHOULDER] = rots[_R_SHOULDER] @ core.axis_angle_matrix(_X, -reach)
         rots[_SPINE1] = core.axis_angle_matrix(_X, -0.25 * depth)
-        return rots
-    if kind == "kick":
+    elif kind == "kick":
         kick = a["kick_amp"] * max(0.0, math.sin(phase)) ** 2
         rots[_R_HIP] = core.axis_angle_matrix(_X, -kick)
         rots[_R_KNEE] = core.axis_angle_matrix(_X, 0.6 * kick * max(0.0, math.cos(phase)))
@@ -251,8 +254,9 @@ def _schedule(kind, phase, rng_params):
         arm = 0.3 * kick
         rots[_L_SHOULDER] = rots[_L_SHOULDER] @ core.axis_angle_matrix(_X, -arm)
         rots[_SPINE1] = core.axis_angle_matrix(_X, -0.1 * kick)
-        return rots
-    raise UnknownMotionKind(f"unknown motion kind {kind!r}")
+    elif kind != "static":
+        raise UnknownMotionKind(f"unknown motion kind {kind!r}")
+    return [rots.get(name, np.eye(3)) for name in tree.names]
 
 
 def _root_position(kind, t, phase, a):
@@ -302,16 +306,14 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
     n = tree.joint_count
     poses = []
     positions = np.empty((frame_count, n, 3))
-    head_poses, left_poses, right_poses = [], [], []
-    head_idx = tree.joint_index("head")
-    lw_idx = tree.joint_index("left_wrist")
-    rw_idx = tree.joint_index("right_wrist")
+    device_joints = [tree.joint_index(name) for name in core.TRACKED_JOINT_NAMES]
+    head_poses, left_poses, right_poses = devices = [], [], []
 
     for i, t in enumerate(timestamps):
         phase = 2.0 * math.pi * params["freq"] * t + params["phase0"]
         if kind == "static":
             phase = params["phase0"]
-        rots = _schedule(kind, phase, params)
+        rots = _schedule(kind, phase, params, tree)
         pose = core.FullBodyPose(
             core.matrix_to_rot6d(rots[0]),
             np.stack([core.matrix_to_rot6d(r) for r in rots[1:]]),
@@ -322,18 +324,11 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
         )
         poses.append(pose)
         positions[i] = pos
-        head_poses.append(
-            core.DevicePose(t, pos[head_idx], core.matrix_to_rot6d(glob[head_idx]))
-        )
-        left_poses.append(
-            core.DevicePose(t, pos[lw_idx], core.matrix_to_rot6d(glob[lw_idx]))
-        )
-        right_poses.append(
-            core.DevicePose(t, pos[rw_idx], core.matrix_to_rot6d(glob[rw_idx]))
-        )
+        for joint, device in zip(device_joints, devices):
+            device.append(core.DevicePose(t, pos[joint], core.matrix_to_rot6d(glob[joint])))
 
     # finite-difference velocities (first frame keeps zeros)
-    for seq in (head_poses, left_poses, right_poses):
+    for seq in devices:
         for i in range(len(seq) - 1, 0, -1):
             seq[i] = descriptor.derive_velocities(seq[i - 1], seq[i])
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import ZeroLengthBone
+from .errors import ShapeError, ZeroLengthBone
 
 _MIN_BONE = 1e-9
 
@@ -45,11 +45,15 @@ def forward_chain(pose: core.FullBodyPose, tree: core.KinematicTree,
     body so the anchor joint (the head by default) lands on
     anchor.head_position. When align_head_orientation is set, the tracked
     headset orientation is applied as a global pre-rotation of the root.
+    Raises ShapeError unless the pose has one rotation per tree joint.
     """
-    locals_ = core.rot6d_to_matrix(pose.stacked_rotations())
+    stacked = pose.stacked_rotations()
+    n = tree.joint_count
+    if len(stacked) != n:
+        raise ShapeError(f"pose has {len(stacked)} rotations, tree has {n} joints")
+    locals_ = core.rot6d_to_matrix(stacked)
     if align_head_orientation:
         locals_[0] = core.rot6d_to_matrix(anchor.head_orientation) @ locals_[0]
-    n = tree.joint_count
     parent = tree.parent
     offsets = tree.rest_offset
     rot = np.empty((n, 3, 3))

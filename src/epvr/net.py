@@ -594,11 +594,6 @@ class Server:
             conn.close()
 
 
-def serve(address, registry: dict, tree=None) -> Server:
-    """Start a server; returns the handle (address resolved, threads running)."""
-    return Server(address, registry, tree)
-
-
 # ---------------------------------------------------------------------------
 # client
 
@@ -650,10 +645,6 @@ class Client:
 
     def send_keypoints(self, t, z, zeta):
         self._send(Kind.KEYPOINT_FRAME, t, encode_keypoint_payload(z, zeta))
-
-    def ping(self, payload=b""):
-        self._send(Kind.PING, 0.0, payload)
-        return self.recv()
 
     def recv(self):
         """Next envelope; None once the server has closed the connection.

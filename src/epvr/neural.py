@@ -12,7 +12,9 @@ seeded at random, never trained. Architecture per stream:
 The motion stream consumes 72-D device descriptors, the visual stream
 flattened refined keypoints; both emit a (joints x model_dim) feature
 map. Fusion lets motion features attend over visual features, then two
-per-token MLP heads decode the root and the 21 local 6D rotations.
+per-token MLP heads decode the root and the J - 1 local 6D rotations.
+The joint count J (NetConfig.joints) and the keypoint width 3 J come from
+the kinematic tree the pipeline runs on.
 
 Weights file: magic "EPVR", version byte, tensor directory, float32
 payload, trailing CRC-32.
@@ -202,15 +204,15 @@ def cross_attention_fuse(m, n, w: FusionWeights, heads: int):
     return out
 
 
-def decode_pose(fused, w: FusionWeights) -> core.FullBodyPose:
+def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:
     """Per-token MLP heads: token 0 -> root rotation, tokens 1.. -> locals.
 
-    Outputs are raw 6D values; orthonormalization happens in the forward
-    kinematics layer.
+    fused must hold one token per joint (NetConfig.joints). Outputs are raw
+    6D values; orthonormalization happens in the forward kinematics layer.
     """
     fused = np.asarray(fused, dtype=np.float64)
-    if fused.ndim != 2 or fused.shape[0] != 22:
-        raise ShapeError(f"decoder expects (22, S) features, got {fused.shape}")
+    if fused.ndim != 2 or fused.shape[0] != joints:
+        raise ShapeError(f"decoder expects ({joints}, S) features, got {fused.shape}")
     root = np.maximum(fused[0] @ w.dec_root_w1 + w.dec_root_b1, 0.0) @ w.dec_root_w2 + w.dec_root_b2
     locals_ = (
         np.maximum(fused[1:] @ w.dec_local_w1 + w.dec_local_b1, 0.0) @ w.dec_local_w2

@@ -107,7 +107,7 @@ class NeuralPredictor:
             flat = np.asarray(keypoints).reshape(len(keypoints), -1)
             n = neural.spatiotemporal_encode(flat, self.visual_w, self.net_cfg.heads)
             m = neural.cross_attention_fuse(m, n, self.fusion_w, self.net_cfg.heads)
-        return neural.decode_pose(m, self.fusion_w)
+        return neural.decode_pose(m, self.fusion_w, self.net_cfg.joints)
 
 
 def _gt_from_record(rec):
@@ -153,6 +153,9 @@ class ReplayPredictor:
 class HeuristicPredictor:
     """Rest pose whose root yaw follows the headset heading."""
 
+    def __init__(self, tree: core.KinematicTree):
+        self._locals = np.tile(core.IDENTITY_6D, (tree.joint_count - 1, 1))
+
     def predict(self, window: descriptor.DescriptorWindow, keypoints):
         head6 = window.frames[-1, 3:9]
         rot = core.rot6d_to_matrix(head6)
@@ -163,28 +166,30 @@ class HeuristicPredictor:
         else:
             yaw = math.atan2(forward[0], forward[2])
             root = core.axis_angle_rot6d([0.0, 1.0, 0.0], yaw)
-        return core.FullBodyPose(root, np.tile(core.IDENTITY_6D, (21, 1)))
+        return core.FullBodyPose(root, self._locals)
 
 
 def build_predictor(config: PipelineConfig, tree: core.KinematicTree):
     if config.predictor == "neural":
+        # the network shape the pipeline feeds: its window, one token per
+        # tree joint, and the tree's keypoints flattened
+        shape = dict(window=config.window, joints=tree.joint_count,
+                     keypoint_dim=3 * tree.joint_count)
         if config.weights_path:
             motion_w, visual_w, fusion_w, net_cfg = neural.load_weights(config.weights_path)
-            if net_cfg.window != config.window:
-                raise ValueError(
-                    f"weights built for window {net_cfg.window}, pipeline uses {config.window}"
-                )
+            for name, want in shape.items():
+                got = getattr(net_cfg, name)
+                if got != want:
+                    raise ValueError(f"weights built for {name} {got}, pipeline uses {want}")
         else:
-            net_cfg = neural.NetConfig(
-                window=config.window, keypoint_dim=3 * tree.joint_count
-            )
+            net_cfg = neural.NetConfig(**shape)
             motion_w, visual_w, fusion_w = neural.init_weights(net_cfg, config.weights_seed)
         return NeuralPredictor(motion_w, visual_w, fusion_w, net_cfg, config.use_fusion)
     if config.predictor == "replay":
         if not config.replay_file:
             raise ValueError("replay predictor needs replay_file")
         return ReplayPredictor.from_motion_file(config.replay_file)
-    return HeuristicPredictor()
+    return HeuristicPredictor(tree)
 
 
 class PipelineSession:
@@ -196,7 +201,7 @@ class PipelineSession:
         self.tree = tree or core.default_tree()
         self.predictor = predictor or build_predictor(config, self.tree)
         j = self.tree.joint_count
-        self._window = None
+        self._window = descriptor.DescriptorWindow(config.window)
         self._keypoints = refine.KeypointStream(
             j, config.window, config.refine_min_cutoff,
             config.refine_beta, config.refine_d_cutoff, config.missing_zeta_decay,
@@ -215,8 +220,7 @@ class PipelineSession:
         self._kpo_solver = None
         if config.use_kpo:
             self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree)
-            # device order of process_frame: head, left controller, right controller
-            tracked = [self.tree.joint_index(n) for n in ("head", "left_wrist", "right_wrist")]
+            tracked = [self.tree.joint_index(n) for n in core.TRACKED_JOINT_NAMES]
             untracked = sorted(set(config.kpo.observed) - set(tracked))
             if untracked:
                 raise ValueError(f"observed joints {untracked} are not tracked by any device")
@@ -229,9 +233,7 @@ class PipelineSession:
         t_start = time.perf_counter_ns()
 
         d = descriptor.build_descriptor(head, left, right)
-        self._window = descriptor.push_frame(
-            self._window, d, head.timestamp, window_length=cfg.window
-        )
+        descriptor.push_frame(self._window, d, head.timestamp)
         latencies["descriptor"] = (time.perf_counter_ns() - t_start) / 1e3
 
         refined = None
@@ -307,6 +309,7 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig,
             )
     session = PipelineSession(config, tree)
 
+    upper, lower = evalmod.body_halves(session.tree)
     per_frame = {"mpjpe": [], "mpjpe_u": [], "mpjpe_l": [], "pa_mpjpe": [], "mpjre": []}
     results = []
     t_wall = time.perf_counter()
@@ -328,8 +331,8 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig,
         gt_rots, gt_pos = gt
         pred_pos = res.pose.positions
         per_frame["mpjpe"].append(evalmod.mpjpe(pred_pos, gt_pos))
-        per_frame["mpjpe_u"].append(evalmod.mpjpe(pred_pos, gt_pos, evalmod.UPPER_BODY_JOINTS))
-        per_frame["mpjpe_l"].append(evalmod.mpjpe(pred_pos, gt_pos, evalmod.LOWER_BODY_JOINTS))
+        per_frame["mpjpe_u"].append(evalmod.mpjpe(pred_pos, gt_pos, upper))
+        per_frame["mpjpe_l"].append(evalmod.mpjpe(pred_pos, gt_pos, lower))
         per_frame["pa_mpjpe"].append(evalmod.pa_mpjpe(pred_pos, gt_pos))
         per_frame["mpjre"].append(evalmod.mpjre(res.pose.stacked_rotations(), gt_rots))
 

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 
+from epvr import core
+
 
 def gram_schmidt_6d(r6):
     """Scalar step-by-step Gram-Schmidt of the two stored columns."""
@@ -99,6 +101,28 @@ def invert_transform(t):
 
 def apply_transform(t, v):
     return (t @ np.append(v, 1.0))[:3]
+
+
+# --- skeleton ----------------------------------------------------------------
+
+
+def rest_pose(joint_count=22):
+    """Identity rotation at every joint of a joint_count-joint tree."""
+    return core.FullBodyPose(core.IDENTITY_6D, np.tile(core.IDENTITY_6D, (joint_count - 1, 1)))
+
+
+def rest_lengths(tree):
+    """Length of each bone (j, parent[j]), j = 1..J-1, from the rest offsets."""
+    return np.array([math.sqrt(float(v @ v)) for v in tree.rest_offset[1:]])
+
+
+def tree_neighbors(parent):
+    """Adjacency lists: the parent and the children of every joint, ascending."""
+    adj = [set() for _ in parent]
+    for child in range(1, len(parent)):
+        adj[child].add(int(parent[child]))
+        adj[int(parent[child])].add(child)
+    return [sorted(s) for s in adj]
 
 
 # --- one-euro reference recurrence -----------------------------------------

@@ -64,3 +64,24 @@ def test_bench_json_reports_every_run_and_stage(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["fps"]["runs"]) == 1 and doc["fps"]["mean"] == doc["fps"]["runs"][0]
     assert set(doc["stage_us"]) == set(pipeline.STAGES)
+
+
+def test_bench_reports_stage_means_over_every_run(capsys, monkeypatch):
+    def three_runs():
+        runs = iter([(100.0, dict.fromkeys(pipeline.STAGES, 10.0)),
+                     (200.0, dict.fromkeys(pipeline.STAGES, 20.0)),
+                     (300.0, dict.fromkeys(pipeline.STAGES, 60.0))])
+        monkeypatch.setattr(cli, "_bench_once", lambda config, frames, seq: next(runs))
+
+    argv = ["bench", "--frames", "5", "--runs", "3"]
+    three_runs()
+    capsys.readouterr()
+    assert cli.main(argv + ["--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["fps"]["runs"] == [100.0, 200.0, 300.0] and doc["fps"]["mean"] == 200.0
+    assert doc["stage_us"] == dict.fromkeys(pipeline.STAGES, 30.0)
+    three_runs()
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("fps 200.0 ")
+    assert lines[1:] == [f"stage.{stage}_us 30.0" for stage in pipeline.STAGES]

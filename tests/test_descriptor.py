@@ -51,13 +51,16 @@ def test_descriptor_round_trips_through_split():
     right = _pose(pos=rng.standard_normal(3), rot=oracles.random_rotation(rng),
                   v=rng.standard_normal(3), w=rng.standard_normal(6))
     d = descriptor.build_descriptor(head, left, right)
-    g_h, g_l, g_r, r_l, r_r = descriptor.split_descriptor(d)
-    for block, pose in ((g_h, head), (g_l, left), (g_r, right)):
+    slots = (descriptor.G_HEAD, descriptor.G_LEFT, descriptor.G_RIGHT,
+             descriptor.R_LEFT, descriptor.R_RIGHT)
+    # the five slots tile the descriptor in order
+    assert [(s.start, s.stop) for s in slots] == [(0, 18), (18, 36), (36, 54), (54, 63), (63, 72)]
+    for slot, pose in zip(slots, (head, left, right)):
+        block = d[slot]
         assert np.array_equal(block[0:3], pose.position)
         assert np.array_equal(block[3:9], pose.orientation)
         assert np.array_equal(block[9:12], pose.linear_velocity)
         assert np.array_equal(block[12:18], pose.angular_velocity)
-    assert r_l.shape == (9,) and r_r.shape == (9,)
 
 
 def test_rigid_transform_covariance():
@@ -71,7 +74,8 @@ def test_rigid_transform_covariance():
     q = oracles.random_rotation(rng)
     shift = rng.standard_normal(3)
     moved = [
-        _pose(pos=q @ p.position + shift, rot=q @ p.rotation_matrix()) for p in poses
+        _pose(pos=q @ p.position + shift, rot=q @ core.rot6d_to_matrix(p.orientation))
+        for p in poses
     ]
     d0 = descriptor.build_descriptor(*poses)
     d1 = descriptor.build_descriptor(*moved)
@@ -79,7 +83,7 @@ def test_rigid_transform_covariance():
         assert np.max(np.abs(d0[slot] - d1[slot])) < 1e-9
     # pure translation moves position slots by exactly the shift
     translated = [
-        _pose(pos=p.position + shift, rot=p.rotation_matrix()) for p in poses
+        _pose(pos=p.position + shift, rot=core.rot6d_to_matrix(p.orientation)) for p in poses
     ]
     d2 = descriptor.build_descriptor(*translated)
     for slot in (descriptor.G_HEAD, descriptor.G_LEFT, descriptor.G_RIGHT):
@@ -130,38 +134,55 @@ def _descriptor_with_marker(value):
     return d
 
 
+def _pushed(t_len, count):
+    """A t_len-row window after pushing markers 0..count-1 at times 0..count-1."""
+    w = descriptor.DescriptorWindow(t_len)
+    for i in range(count):
+        descriptor.push_frame(w, _descriptor_with_marker(float(i)), float(i))
+    return w
+
+
 def test_push_single_frame_replicates_to_full_window():
-    w = descriptor.push_frame(None, _descriptor_with_marker(3.0), 0.0, window_length=5)
-    assert w.window_length == 5
+    w = descriptor.DescriptorWindow(5)
+    assert w.end_timestamp is None
+    descriptor.push_frame(w, _descriptor_with_marker(3.0), 0.0)
+    assert w.frames.shape == (5, 72)
     assert np.all(w.frames[:, 0] == 3.0)
     assert w.end_timestamp == 0.0
 
 
 def test_push_t_plus_one_frames_keeps_last_t():
-    t_len = 4
-    w = None
-    for i in range(t_len + 1):
-        w = descriptor.push_frame(w, _descriptor_with_marker(float(i)), i * 0.1,
-                                  window_length=t_len)
+    w = _pushed(4, 5)
     assert np.array_equal(w.frames[:, 0], [1.0, 2.0, 3.0, 4.0])
+    assert w.end_timestamp == 4.0
+
+
+def test_push_writes_in_place():
+    w = _pushed(3, 1)
+    frames = w.frames
+    descriptor.push_frame(w, _descriptor_with_marker(7.0), 5.0)
+    assert w.frames is frames
+    assert np.array_equal(frames[:, 0], [0.0, 0.0, 7.0])
 
 
 def test_window_length_constant_over_any_push_count():
     t_len = 6
     for count in range(1, 3 * t_len + 1):
-        w = None
-        for i in range(count):
-            w = descriptor.push_frame(w, _descriptor_with_marker(float(i)), float(i),
-                                      window_length=t_len)
-        assert w.window_length == t_len
-        # frames are in nondecreasing push order
-        assert np.all(np.diff(w.frames[:, 0]) >= 0)
+        w = _pushed(t_len, count)
+        assert w.frames.shape == (t_len, 72)
+        # the last min(count, T) pushes in order, the first one replicated before them
+        want = [max(0.0, float(count - t_len + k)) for k in range(t_len)]
+        assert np.array_equal(w.frames[:, 0], want)
 
 
 def test_stale_frame_rejected():
-    w = descriptor.push_frame(None, _descriptor_with_marker(0.0), 1.0, window_length=3)
-    with pytest.raises(StaleFrame):
-        descriptor.push_frame(w, _descriptor_with_marker(1.0), 1.0)
+    w = _pushed(3, 2)
+    before = w.frames.copy()
+    for t in (1.0, 0.5):
+        with pytest.raises(StaleFrame):
+            descriptor.push_frame(w, _descriptor_with_marker(9.0), t)
+        assert np.array_equal(w.frames, before)
+        assert w.end_timestamp == 1.0
 
 
 def test_motion_file_round_trip(tmp_path):

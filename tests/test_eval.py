@@ -36,6 +36,20 @@ def test_mpjpe_shape_mismatch():
         evalmod.mpjpe(np.zeros((22, 3)), np.zeros((21, 3)))
 
 
+def test_body_halves_split_the_default_tree_at_spine1():
+    tree = core.default_tree()
+    upper, lower = evalmod.body_halves(tree)
+    assert upper == (3, 6, 9, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21)
+    assert lower == (0, 1, 2, 4, 5, 7, 8, 10, 11)
+    # every upper joint descends from spine1; no lower joint does
+    spine1 = tree.joint_index("spine1")
+    for j in range(tree.joint_count):
+        k = j
+        while k not in (spine1, core.ROOT_PARENT):
+            k = tree.parent[k]
+        assert (j in upper) == (k == spine1)
+
+
 def test_pa_mpjpe_removes_similarity_transform():
     rng = np.random.default_rng(83)
     gt = rng.standard_normal((22, 3))
@@ -198,7 +212,7 @@ def test_static_sequence_is_constant_with_zero_velocity():
 @pytest.mark.parametrize("kind", evalmod.MOTION_KINDS)
 def test_generated_bones_stay_rigid(kind):
     seq = evalmod.generate_sequence(kind, 1.0, 30.0, seed=2)
-    rest = seq.tree.rest_lengths()
+    rest = oracles.rest_lengths(seq.tree)
     for i in range(seq.frame_count):
         _, lengths = kinematics.bone_vectors(seq.positions[i], seq.tree)
         assert np.max(np.abs(lengths - rest)) < 1e-9

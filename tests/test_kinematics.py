@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epvr import core, kinematics
-from epvr.errors import ZeroLengthBone
+from epvr.errors import ShapeError, ZeroLengthBone
 
 import oracles
 
@@ -26,7 +26,7 @@ def _cumulative_offsets(tree):
 def test_identity_pose_positions_are_cumulative_offsets():
     tree = core.default_tree()
     anchor = kinematics.WorldAnchor([0, 0, 0], core.IDENTITY_6D)
-    got = kinematics.forward_kinematics(core.rest_pose(), tree, anchor)
+    got = kinematics.forward_kinematics(oracles.rest_pose(), tree, anchor)
     want = _cumulative_offsets(tree)
     want -= want[core.HEAD_JOINT]
     assert np.max(np.abs(got - want)) < 1e-12
@@ -64,7 +64,7 @@ def test_root_rotation_rigidly_rotates_about_head_anchor():
     tree = core.default_tree()
     ry = oracles.quat_to_matrix(oracles.quat_from_axis_angle([0, 1, 0], np.pi / 2))
     anchor = kinematics.WorldAnchor([0.3, 1.6, -0.2], core.IDENTITY_6D)
-    identity_pose = core.rest_pose()
+    identity_pose = oracles.rest_pose()
     base = kinematics.forward_kinematics(identity_pose, tree, anchor)
     rotated_pose = core.FullBodyPose(
         core.matrix_to_rot6d(ry), identity_pose.local_rotations
@@ -76,7 +76,7 @@ def test_root_rotation_rigidly_rotates_about_head_anchor():
 
 def test_rigidity_over_random_rotations():
     tree = core.default_tree()
-    rest = tree.rest_lengths()
+    rest = oracles.rest_lengths(tree)
     rng = np.random.default_rng(52)
     anchor = kinematics.WorldAnchor([0, 1.6, 0], core.IDENTITY_6D)
     for _ in range(200):
@@ -119,7 +119,7 @@ def test_bone_vectors_identity_pose():
     tree = core.default_tree()
     pos = _cumulative_offsets(tree)
     disp, lengths = kinematics.bone_vectors(pos, tree)
-    assert np.max(np.abs(lengths - tree.rest_lengths())) < 1e-12
+    assert np.max(np.abs(lengths - oracles.rest_lengths(tree))) < 1e-12
     assert np.allclose(np.linalg.norm(disp / lengths[:, None], axis=1), 1.0, atol=1e-12)
 
 
@@ -139,8 +139,8 @@ def test_bone_vectors_match_direct_arithmetic():
     anchor = kinematics.WorldAnchor(rng.standard_normal(3), core.IDENTITY_6D)
     pos = kinematics.forward_kinematics(_random_pose(rng), tree, anchor)
     disp, lengths = kinematics.bone_vectors(pos, tree)
-    for k, (child, parent) in enumerate(tree.edges):
-        diff = pos[child] - pos[parent]
+    for k, child in enumerate(range(1, tree.joint_count)):
+        diff = pos[child] - pos[tree.parent[child]]
         assert abs(lengths[k] - np.linalg.norm(diff)) < 1e-12
         assert np.array_equal(disp[k], diff)
 
@@ -174,3 +174,30 @@ def test_forward_chain_rotations_are_the_ancestor_products():
             expected = local[k] @ expected
             k = tree.parent[k]
         assert np.max(np.abs(rot[j] - expected)) < 1e-12
+
+
+def _chain_tree():
+    """Three joints in a line along +y, the head at the tip."""
+    return core.KinematicTree(("root", "mid", "head"), [-1, 0, 1],
+                              [[0, 0, 0], [0, 0.5, 0], [0, 0.25, 0]])
+
+
+def test_forward_chain_poses_a_tree_of_any_size():
+    tree = _chain_tree()
+    rz = oracles.quat_to_matrix(oracles.quat_from_axis_angle([0, 0, 1], np.pi / 2))
+    pose = core.FullBodyPose(core.IDENTITY_6D, [core.matrix_to_rot6d(rz), core.IDENTITY_6D])
+    anchor = kinematics.WorldAnchor([0, 0, 0], core.IDENTITY_6D)
+    pos, rot = kinematics.forward_chain(pose, tree, anchor)
+    # the root bone stays on +y, the rotated mid joint turns its child bone to -x
+    want = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [-0.25, 0.5, 0.0]])
+    assert np.max(np.abs(pos - (want - want[2]))) < 1e-12
+    assert rot.shape == (3, 3, 3)
+    assert np.max(np.abs(rot[2] - rz)) < 1e-12
+
+
+@pytest.mark.parametrize("rotations", [2, 4, 22])
+def test_forward_chain_rejects_a_rotation_count_the_tree_does_not_have(rotations):
+    pose = oracles.rest_pose(rotations)
+    anchor = kinematics.WorldAnchor([0, 0, 0], core.IDENTITY_6D)
+    with pytest.raises(ShapeError, match=f"{rotations} rotations"):
+        kinematics.forward_chain(pose, _chain_tree(), anchor)

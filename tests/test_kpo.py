@@ -82,7 +82,7 @@ def alignment_oracle(p, problem, cfg):
 
 def structure_oracle(p, problem, cfg):
     """Literal double sum over joints and their neighbor sets."""
-    neighbors = problem.tree.neighbors
+    neighbors = oracles.tree_neighbors(problem.tree.parent)
     total = 0.0
     for i in range(problem.tree.joint_count):
         for j in neighbors[i]:

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from epvr import eval as evalmod, kpo, net, pipeline
+from epvr import eval as evalmod, kpo, net, neural, pipeline
 
 TIMEOUT = 3.0
 MODEL = "hmd"
@@ -25,7 +25,7 @@ def walk():
 
 @pytest.fixture
 def server():
-    srv = net.serve(("127.0.0.1", 0), REGISTRY)
+    srv = net.Server(("127.0.0.1", 0), REGISTRY)
     yield srv
     srv.close()
 
@@ -161,8 +161,8 @@ def test_registry_the_pipeline_rejects_is_refused_at_start():
         kpo=kpo.KpoConfig(observed=(0,)),
     )
     with pytest.raises(ValueError, match="'bad'"):
-        net.serve(("127.0.0.1", 0), {**REGISTRY, "bad": bad})
-    srv = net.serve(("127.0.0.1", 0), REGISTRY)
+        net.Server(("127.0.0.1", 0), {**REGISTRY, "bad": bad})
+    srv = net.Server(("127.0.0.1", 0), REGISTRY)
     client = _client(srv)
     try:
         assert client.hello(MODEL).kind == net.Kind.HELLO
@@ -170,6 +170,28 @@ def test_registry_the_pipeline_rejects_is_refused_at_start():
         client.close()
         srv.close()
 
+
+@pytest.mark.parametrize("field", ["joints", "keypoint_dim"])
+def test_registry_with_weights_that_do_not_fit_the_tree_is_refused_at_start(tmp_path, field):
+    net_cfg = neural.NetConfig(**{field: 5})
+    path = tmp_path / "weights.epvr"
+    neural.save_weights(path, *neural.init_weights(net_cfg, 0), net_cfg)
+    bad = pipeline.PipelineConfig(weights_path=str(path))
+    with pytest.raises(ValueError, match=f"'bad': weights built for {field} 5"):
+        net.Server(("127.0.0.1", 0), {**REGISTRY, "bad": bad})
+
+
+def test_ping_is_echoed_as_pong(server):
+    client = _client(server)
+    try:
+        _send(client, net.Kind.PING, 5, b"abc", timestamp=1.5)
+        env = client.recv()
+        assert env.kind == net.Kind.PONG
+        assert (env.session_id, env.sequence, env.timestamp, env.payload) == (
+            client.session_id, 5, 1.5, b"abc"
+        )
+    finally:
+        client.close()
 
 
 def test_close_ends_every_session_and_wakes_clients(server, walk):

@@ -44,6 +44,20 @@ def test_output_shape_is_joints_by_model_dim():
         assert out.shape == (SMALL.joints, SMALL.model_dim)
 
 
+def test_decoder_emits_one_rotation_per_configured_joint():
+    cfg = neural.NetConfig(model_dim=16, heads=2, layers=1, window=6, joints=5, keypoint_dim=15,
+                           summary_hidden=24, decoder_hidden=12)
+    motion, _, fusion = neural.init_weights(cfg, seed=26)
+    rng = np.random.default_rng(27)
+    feats = neural.spatiotemporal_encode(
+        rng.standard_normal((cfg.window, cfg.motion_dim)), motion, cfg.heads
+    )
+    pose = neural.decode_pose(feats, fusion, cfg.joints)
+    assert pose.stacked_rotations().shape == (5, 6)
+    with pytest.raises(ShapeError, match=r"\(22, S\)"):
+        neural.decode_pose(feats, fusion, 22)
+
+
 def test_attention_rows_sum_to_one(monkeypatch):
     motion, visual, fusion = neural.init_weights(SMALL, seed=4)
     rng = np.random.default_rng(5)
@@ -141,7 +155,7 @@ def test_decode_constant_head_emits_identity_rotations():
     fusion.dec_local_w2[:] = 0.0
     fusion.dec_local_b2[:] = core.IDENTITY_6D
     rng = np.random.default_rng(16)
-    pose = neural.decode_pose(rng.standard_normal((22, SMALL.model_dim)), fusion)
+    pose = neural.decode_pose(rng.standard_normal((22, SMALL.model_dim)), fusion, SMALL.joints)
     assert np.array_equal(pose.root_rotation, core.IDENTITY_6D)
     assert np.all(pose.local_rotations == core.IDENTITY_6D)
     decoded = core.rot6d_to_matrix(pose.stacked_rotations())
@@ -152,10 +166,10 @@ def test_decode_per_token_locality():
     _, _, fusion = neural.init_weights(SMALL, seed=17)
     rng = np.random.default_rng(18)
     feats = rng.standard_normal((22, SMALL.model_dim))
-    base = neural.decode_pose(feats, fusion)
+    base = neural.decode_pose(feats, fusion, SMALL.joints)
     bumped = feats.copy()
     bumped[5] += 1.0
-    got = neural.decode_pose(bumped, fusion)
+    got = neural.decode_pose(bumped, fusion, SMALL.joints)
     assert not np.array_equal(got.local_rotations[4], base.local_rotations[4])
     assert np.array_equal(got.root_rotation, base.root_rotation)
     mask = np.ones(21, dtype=bool)
@@ -167,7 +181,7 @@ def test_decode_matches_matrix_multiply_oracle():
     _, _, fusion = neural.init_weights(SMALL, seed=19)
     rng = np.random.default_rng(20)
     feats = rng.standard_normal((22, SMALL.model_dim))
-    pose = neural.decode_pose(feats, fusion)
+    pose = neural.decode_pose(feats, fusion, SMALL.joints)
     root = np.maximum(feats[0] @ fusion.dec_root_w1 + fusion.dec_root_b1, 0.0)
     root = root @ fusion.dec_root_w2 + fusion.dec_root_b2
     assert np.max(np.abs(pose.root_rotation - root)) < 1e-9
@@ -195,7 +209,7 @@ def test_shape_errors():
             np.zeros((SMALL.window + 1, SMALL.motion_dim)), motion, SMALL.heads
         )
     with pytest.raises(ShapeError):
-        neural.decode_pose(np.zeros((21, SMALL.model_dim)), fusion)
+        neural.decode_pose(np.zeros((21, SMALL.model_dim)), fusion, SMALL.joints)
 
 
 def test_non_finite_inputs_rejected():

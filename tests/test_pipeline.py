@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from epvr import cli, core, eval as evalmod, kpo, pipeline
+from epvr import cli, core, eval as evalmod, kpo, neural, pipeline
 from epvr.filtering import VectorFilterBank
+
+import oracles
 
 WINDOW = 5
 REFINE = dict(refine_min_cutoff=2.0, refine_beta=0.1, refine_d_cutoff=1.5)
@@ -19,7 +21,7 @@ class RecordingPredictor:
 
     def predict(self, window, keypoints):
         self.seen.append(None if keypoints is None else np.array(keypoints))
-        return core.rest_pose()
+        return oracles.rest_pose()
 
 
 def _session(**overrides):
@@ -184,3 +186,43 @@ def test_ground_truth_record_takes_its_joint_count_from_the_data():
     rots, pos = pipeline._gt_from_record(rec)
     assert rots.shape == (3, 6) and pos.shape == (3, 3)
     assert pipeline._gt_from_record({}) is None
+
+
+def _chain_tree():
+    """Four joints in a line along +y, the head and both wrists on it."""
+    return core.KinematicTree(("pelvis", "left_wrist", "right_wrist", "head"), [-1, 0, 1, 2],
+                              [[0, 0, 0], [0, 0.3, 0], [0, 0.3, 0], [0, 0.3, 0]])
+
+
+@pytest.mark.parametrize("predictor", ["neural", "heuristic"])
+def test_session_takes_the_skeleton_size_from_its_tree(predictor):
+    tree = _chain_tree()
+    cfg = pipeline.PipelineConfig(predictor=predictor, use_fusion=predictor == "neural",
+                                  window=WINDOW, kpo=kpo.KpoConfig(observed=(3, 1, 2)))
+    session = pipeline.PipelineSession(cfg, tree)
+    seq, _, _ = _walk(3)
+    kp = (np.zeros((4, 3)), np.ones(4))
+    for i in range(seq.frame_count):
+        result = session.process_frame(seq.head[i], seq.left[i], seq.right[i], kp)
+    assert result.pose.stacked_rotations().shape == (4, 6)
+    assert result.pose.positions.shape == (4, 3)
+
+
+@pytest.mark.parametrize("field,value", [("window", 7), ("joints", 5), ("keypoint_dim", 15)])
+def test_weights_that_do_not_fit_the_tree_are_refused(tmp_path, field, value):
+    net_cfg = neural.NetConfig(**{"window": WINDOW, field: value})
+    path = tmp_path / "weights.epvr"
+    neural.save_weights(path, *neural.init_weights(net_cfg, 0), net_cfg)
+    cfg = pipeline.PipelineConfig(window=WINDOW, weights_path=str(path))
+    with pytest.raises(ValueError, match=f"weights built for {field} {value}"):
+        pipeline.build_predictor(cfg, core.default_tree())
+
+
+def test_weights_that_fit_the_tree_are_used(tmp_path):
+    net_cfg = neural.NetConfig(window=WINDOW)
+    path = tmp_path / "weights.epvr"
+    neural.save_weights(path, *neural.init_weights(net_cfg, 3), net_cfg)
+    predictor = pipeline.build_predictor(
+        pipeline.PipelineConfig(window=WINDOW, weights_path=str(path)), core.default_tree()
+    )
+    assert predictor.net_cfg == net_cfg
