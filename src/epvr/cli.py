@@ -140,6 +140,13 @@ def _bench_once(config, frames, seq):
     return frames / wall, {k: v / frames for k, v in stage_totals.items()}
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer >= 1."""
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
 def cmd_bench(args) -> int:
     config = _load_config(args.config)
     seq = evalmod.generate_sequence("walk", min(args.frames, 600) / 60.0, 60.0, seed=7)
@@ -198,8 +205,8 @@ def main(argv=None) -> int:
 
     p = sub.add_parser("bench", help="measure pipeline throughput")
     p.add_argument("--config", default=None)
-    p.add_argument("--frames", type=int, default=2000)
-    p.add_argument("--runs", type=int, default=3)
+    p.add_argument("--frames", type=_positive_int, default=2000)
+    p.add_argument("--runs", type=_positive_int, default=3)
     p.add_argument("--json", action="store_true", help="machine-readable output")
     p.set_defaults(fn=cmd_bench)
 

@@ -220,14 +220,20 @@ def default_tree() -> KinematicTree:
     return _tree_from_doc(json.loads(text))
 
 
-# Anchor joints: the three with tracked ground-truth positions at runtime.
-HEAD_JOINT = 15
-LEFT_HAND_JOINT = 20
-RIGHT_HAND_JOINT = 21
-OBSERVED_JOINTS = (HEAD_JOINT, LEFT_HAND_JOINT, RIGHT_HAND_JOINT)
 # Joint each tracked device sits on, in device order: headset, left
-# controller, right controller.
+# controller, right controller. The only definition of the device-to-joint
+# mapping: the generator places the devices on these joints and KPO pulls
+# them toward the devices.
 TRACKED_JOINT_NAMES = ("head", "left_wrist", "right_wrist")
+
+
+def tracked_joints(tree: KinematicTree) -> list:
+    """Index in tree of the joint each tracked device sits on, in device
+    order; raises ValueError naming the first of them the tree lacks."""
+    for name in TRACKED_JOINT_NAMES:
+        if name not in tree.names:
+            raise ValueError(f"tree has no {name!r} joint for its tracked device")
+    return [tree.joint_index(name) for name in TRACKED_JOINT_NAMES]
 
 
 def axis_angle_matrix(axis, angle_rad):

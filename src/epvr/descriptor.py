@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core, replayfile
-from .errors import NonMonotonicTime, StaleFrame, TimestampSkew
+from .errors import NonFiniteInput, NonMonotonicTime, StaleFrame, TimestampSkew
 
 DESCRIPTOR_DIM = 72
 SYNC_TOLERANCE = 1e-4  # seconds between the three device timestamps
@@ -28,7 +28,11 @@ R_RIGHT = slice(63, 72)
 
 
 def build_descriptor(head: core.DevicePose, left: core.DevicePose, right: core.DevicePose):
-    """Concatenate global and head-relative motion blocks into one 72-vector."""
+    """Concatenate global and head-relative motion blocks into one 72-vector.
+
+    Raises TimestampSkew when the device timestamps diverge and
+    NonFiniteInput when a timestamp or any entry is NaN or infinite.
+    """
     ts = (head.timestamp, left.timestamp, right.timestamp)
     if max(ts) - min(ts) > SYNC_TOLERANCE:
         raise TimestampSkew(f"device timestamps diverge: {ts}")
@@ -49,6 +53,8 @@ def build_descriptor(head: core.DevicePose, left: core.DevicePose, right: core.D
         rel = head_rot_t @ rot  # orthonormal product: extract 6D directly
         block[3:6] = rel[:, 0]
         block[6:9] = rel[:, 1]
+    if not (np.isfinite(out).all() and np.isfinite(ts).all()):
+        raise NonFiniteInput("device poses carry a NaN or infinite value")
     return out
 
 

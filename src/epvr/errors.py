@@ -31,6 +31,10 @@ class StaleFrame(EpvrError):
     """Frame pushed into a window that already contains a newer frame."""
 
 
+class NonFiniteInput(EpvrError):
+    """A device pose carries a NaN or infinite value."""
+
+
 class ChannelCountMismatch(EpvrError):
     """Vector filter bank received a vector of the wrong width."""
 

@@ -280,15 +280,14 @@ def _root_position(kind, t, phase, a):
 
 
 def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
-                      tree: core.KinematicTree | None = None,
-                      camera: CameraModel | None = None) -> SyntheticSequence:
+                      tree: core.KinematicTree | None = None) -> SyntheticSequence:
     """Deterministic synthetic motion with full ground truth annotations."""
     if kind not in MOTION_KINDS:
         raise UnknownMotionKind(f"unknown motion kind {kind!r}")
     if duration <= 0.0 or rate <= 0.0:
         raise ValueError("duration and rate must be positive")
     tree = tree or core.default_tree()
-    camera = camera or default_camera()
+    camera = default_camera()
     rng = np.random.default_rng(seed)
     params = {
         "leg_amp": 0.45 * (1.0 + 0.2 * rng.uniform(-1, 1)),
@@ -306,7 +305,7 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
     n = tree.joint_count
     poses = []
     positions = np.empty((frame_count, n, 3))
-    device_joints = [tree.joint_index(name) for name in core.TRACKED_JOINT_NAMES]
+    device_joints = core.tracked_joints(tree)
     head_poses, left_poses, right_poses = devices = [], [], []
 
     for i, t in enumerate(timestamps):
@@ -319,9 +318,7 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
             np.stack([core.matrix_to_rot6d(r) for r in rots[1:]]),
         )
         root_pos = _root_position(kind, 0.0 if kind == "static" else t, phase, params)
-        pos, glob = kinematics.forward_chain(
-            pose, tree, kinematics.WorldAnchor(root_pos, core.IDENTITY_6D), anchor_joint=0
-        )
+        pos, glob = kinematics.forward_chain(pose, tree, root_pos, anchor_joint=0)
         poses.append(pose)
         positions[i] = pos
         for joint, device in zip(device_joints, devices):
@@ -350,16 +347,14 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
     )
 
 
-def noisy_keypoints(seq: SyntheticSequence, sigma: float, seed: int = 0,
-                    false_positive_sigma: float | None = None):
+def noisy_keypoints(seq: SyntheticSequence, sigma: float, seed: int = 0):
     """Measurement-noise model for the egocentric keypoint stream.
 
     Visible joints get zero-mean Gaussian noise and a high visibility
     score; out-of-view joints get a large bogus offset (a false-positive
     detection) and a low score. Returns (Z (T,J,3), zeta (T,J)).
     """
-    if false_positive_sigma is None:
-        false_positive_sigma = 10.0 * sigma if sigma > 0 else 0.25
+    false_positive_sigma = 10.0 * sigma if sigma > 0 else 0.25
     rng = np.random.default_rng(seed)
     z = seq.keypoints_cam.copy()
     t, j, _ = z.shape

@@ -1,15 +1,13 @@
 """Forward kinematics: rotations to world joint positions.
 
 The skeleton is posed in a local frame by chaining parent rotations and
-rest offsets from the root, then rigidly translated so the head joint
-coincides with the tracked headset position. The body's orientation
-comes from the predicted root rotation; the headset orientation is only
-applied when explicitly requested.
+rest offsets from the root, then rigidly translated so the anchor joint
+lands on the tracked headset position. The anchor is the joint the headset
+sits on, the first of core.TRACKED_JOINT_NAMES. The body's orientation
+comes from the predicted root rotation alone.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,41 +17,21 @@ from .errors import ShapeError, ZeroLengthBone
 _MIN_BONE = 1e-9
 
 
-@dataclass(frozen=True)
-class WorldAnchor:
-    """Tracked headset pose the skeleton is pinned to."""
-
-    head_position: np.ndarray
-    head_orientation: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "head_position", np.asarray(self.head_position, dtype=np.float64).reshape(3)
-        )
-        object.__setattr__(
-            self, "head_orientation", np.asarray(self.head_orientation, dtype=np.float64).reshape(6)
-        )
-
-
-def forward_chain(pose: core.FullBodyPose, tree: core.KinematicTree,
-                  anchor: WorldAnchor, align_head_orientation: bool = False,
+def forward_chain(pose: core.FullBodyPose, tree: core.KinematicTree, anchor_position,
                   anchor_joint: int | None = None):
     """World positions (J x 3) and world rotation matrices (J x 3 x 3) of
     every joint.
 
     The chain is accumulated from the root, then translated as one rigid
-    body so the anchor joint (the head by default) lands on
-    anchor.head_position. When align_head_orientation is set, the tracked
-    headset orientation is applied as a global pre-rotation of the root.
-    Raises ShapeError unless the pose has one rotation per tree joint.
+    body so the anchor joint (by default the joint the headset sits on)
+    lands on anchor_position. Raises ShapeError unless the pose has one
+    rotation per tree joint.
     """
     stacked = pose.stacked_rotations()
     n = tree.joint_count
     if len(stacked) != n:
         raise ShapeError(f"pose has {len(stacked)} rotations, tree has {n} joints")
     locals_ = core.rot6d_to_matrix(stacked)
-    if align_head_orientation:
-        locals_[0] = core.rot6d_to_matrix(anchor.head_orientation) @ locals_[0]
     parent = tree.parent
     offsets = tree.rest_offset
     rot = np.empty((n, 3, 3))
@@ -66,15 +44,14 @@ def forward_chain(pose: core.FullBodyPose, tree: core.KinematicTree,
         rot[level] = parent_rot @ locals_[level]
         raw[level] = raw[par] + np.einsum("kij,kj->ki", parent_rot, offsets[level])
     if anchor_joint is None:
-        anchor_joint = tree.joint_index("head")
-    return raw - raw[anchor_joint] + anchor.head_position, rot
+        anchor_joint = tree.joint_index(core.TRACKED_JOINT_NAMES[0])
+    return raw - raw[anchor_joint] + anchor_position, rot
 
 
-def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree,
-                       anchor: WorldAnchor, align_head_orientation: bool = False,
+def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree, anchor_position,
                        anchor_joint: int | None = None):
     """World positions (J x 3) of every joint; see forward_chain."""
-    return forward_chain(pose, tree, anchor, align_head_orientation, anchor_joint)[0]
+    return forward_chain(pose, tree, anchor_position, anchor_joint)[0]
 
 
 def bone_vectors(positions, tree: core.KinematicTree):

@@ -1,11 +1,13 @@
 """Energy-based kinematic pose optimization.
 
-Refines predicted joint positions so that tracked anchor joints (head
-and hands) match their device-reported positions while the rest of the
-skeleton keeps its predicted shape:
+Refines predicted joint positions so that the anchor joints match their
+device-reported positions while the rest of the skeleton keeps its
+predicted shape. The anchors are the tracked joints: the joints the
+headset and the two controllers sit on (core.TRACKED_JOINT_NAMES), which
+the session looks up in its tree.
 
 * alignment energy: squared distance of anchor joints to their tracked
-  positions, plus a self-regularization term holding unobserved joints
+  positions, plus a self-regularization term holding the other joints
   near the prediction
 * structure energy: squared change of bone length and of the joint-to-
   joint displacement vector over every skeletal link, summed over both
@@ -42,7 +44,6 @@ class KpoConfig:
     max_iterations: int = 30
     step_size: float = 0.1
     energy_tolerance: float = 1e-6
-    observed: tuple = core.OBSERVED_JOINTS
 
     def __post_init__(self):
         for name in ("lambda_a", "lambda_s", "lambda_l", "lambda_d"):
@@ -54,7 +55,6 @@ class KpoConfig:
             raise ValueError("step_size must be positive")
         if self.energy_tolerance <= 0.0:
             raise ValueError("energy_tolerance must be positive")
-        object.__setattr__(self, "observed", tuple(self.observed))
 
 
 @dataclass
@@ -68,9 +68,10 @@ class KpoReport:
 class KpoSolver:
     """Reusable solver: structure-dependent precomputes happen once, so
     per-frame calls only refresh the prediction- and anchor-dependent
-    parts."""
+    parts. anchors holds the index of each anchor joint, one per row of
+    the targets set_arrays takes."""
 
-    def __init__(self, cfg: KpoConfig, tree: core.KinematicTree):
+    def __init__(self, cfg: KpoConfig, tree: core.KinematicTree, anchors):
         self.cfg = cfg
         self.tree = tree
         n = tree.joint_count
@@ -81,13 +82,12 @@ class KpoSolver:
         inc[np.arange(1, n), np.arange(m)] = 1.0
         inc[self.parent, np.arange(m)] = -1.0
         self.incidence = inc
-        obs = [k for k in cfg.observed if 0 <= k < n]
-        self.obs = np.array(obs, dtype=np.int64)
-        self.unobs = np.array([j for j in range(n) if j not in set(obs)], dtype=np.int64)
+        self.anchors = np.array(anchors, dtype=np.int64)
+        self.others = np.delete(np.arange(n), self.anchors)
         # quadratic part: alignment + self-regularization + direction terms
         quad = np.zeros((n, n))
-        quad[self.obs, self.obs] += cfg.lambda_a
-        quad[self.unobs, self.unobs] += cfg.lambda_s
+        quad[self.anchors, self.anchors] += cfg.lambda_a
+        quad[self.others, self.others] += cfg.lambda_s
         quad += 2.0 * cfg.lambda_d * (inc @ inc.T)
         self.quad = quad
         self.initial = None
@@ -97,21 +97,19 @@ class KpoSolver:
 
     def set_arrays(self, initial, targets):
         """Load one frame: predicted positions (J, 3) and the tracked
-        positions of the observed joints, one row per entry of self.obs."""
+        positions of the anchor joints, one row per entry of self.anchors."""
         cfg = self.cfg
         self.initial = initial
         init_disp, self.init_len = bone_vectors(initial, self.tree)
         linear = np.zeros_like(initial)
-        if len(self.obs):
-            linear[self.obs] = cfg.lambda_a * targets
-        if len(self.unobs):
-            linear[self.unobs] = cfg.lambda_s * initial[self.unobs]
+        linear[self.anchors] = cfg.lambda_a * targets
+        linear[self.others] = cfg.lambda_s * initial[self.others]
         linear += 2.0 * cfg.lambda_d * (self.incidence @ init_disp)
         self.linear = linear
         self.constant = (
             cfg.lambda_a * float(np.einsum("ij,ij->", targets, targets))
             + cfg.lambda_s
-            * float(np.einsum("ij,ij->", initial[self.unobs], initial[self.unobs]))
+            * float(np.einsum("ij,ij->", initial[self.others], initial[self.others]))
             + 2.0 * cfg.lambda_d * float(np.einsum("ij,ij->", init_disp, init_disp))
         )
 

@@ -437,11 +437,11 @@ class _ServerSession:
 class Server:
     """Stream server hosting named models; one pipeline worker per session."""
 
-    def __init__(self, address, registry: dict, tree=None):
+    def __init__(self, address, registry: dict):
         """registry maps model name -> PipelineConfig."""
         host, port = address
         self.registry = dict(registry)
-        self.tree = tree or core.default_tree()
+        self.tree = core.default_tree()
         self._predictors = {}
         for name, config in self.registry.items():
             # a config the pipeline rejects is refused here, not by a handler thread at HELLO

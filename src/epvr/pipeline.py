@@ -47,10 +47,7 @@ class PipelineConfig:
     refine_beta: float = 0.007
     refine_d_cutoff: float = 1.0
     weights_path: str | None = None
-    weights_seed: int = 0
     replay_file: str | None = None
-    prediction_noise_sigma: float = 0.0
-    prediction_noise_seed: int = 0
     missing_zeta_decay: float = 0.9
 
     def __post_init__(self):
@@ -183,7 +180,7 @@ def build_predictor(config: PipelineConfig, tree: core.KinematicTree):
                     raise ValueError(f"weights built for {name} {got}, pipeline uses {want}")
         else:
             net_cfg = neural.NetConfig(**shape)
-            motion_w, visual_w, fusion_w = neural.init_weights(net_cfg, config.weights_seed)
+            motion_w, visual_w, fusion_w = neural.init_weights(net_cfg, 0)
         return NeuralPredictor(motion_w, visual_w, fusion_w, net_cfg, config.use_fusion)
     if config.predictor == "replay":
         if not config.replay_file:
@@ -193,12 +190,18 @@ def build_predictor(config: PipelineConfig, tree: core.KinematicTree):
 
 
 class PipelineSession:
-    """Stateful single-stream pose pipeline; one instance per client session."""
+    """Stateful single-stream pose pipeline; one instance per client session.
+
+    Raises ValueError at construction when the tree lacks a joint that a
+    tracked device sits on (core.TRACKED_JOINT_NAMES).
+    """
 
     def __init__(self, config: PipelineConfig, tree: core.KinematicTree | None = None,
                  predictor=None):
         self.config = config
         self.tree = tree or core.default_tree()
+        # head, left wrist, right wrist: the FK anchor and the KPO anchors
+        self._tracked = core.tracked_joints(self.tree)
         self.predictor = predictor or build_predictor(config, self.tree)
         j = self.tree.joint_count
         self._window = descriptor.DescriptorWindow(config.window)
@@ -212,19 +215,9 @@ class PipelineSession:
             self._pos_filter = VectorFilterBank(
                 3 * j, config.filter_min_cutoff, config.filter_beta, config.filter_d_cutoff
             )
-        self._noise_rng = (
-            np.random.default_rng(config.prediction_noise_seed)
-            if config.prediction_noise_sigma > 0.0
-            else None
-        )
         self._kpo_solver = None
         if config.use_kpo:
-            self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree)
-            tracked = [self.tree.joint_index(n) for n in core.TRACKED_JOINT_NAMES]
-            untracked = sorted(set(config.kpo.observed) - set(tracked))
-            if untracked:
-                raise ValueError(f"observed joints {untracked} are not tracked by any device")
-            self._anchor_devices = [tracked.index(k) for k in self._kpo_solver.obs]
+            self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree, self._tracked)
 
     def process_frame(self, head: core.DevicePose, left: core.DevicePose,
                       right: core.DevicePose, keypoints=None) -> FrameResult:
@@ -232,7 +225,10 @@ class PipelineSession:
         latencies = dict.fromkeys(STAGES, 0.0)
         t_start = time.perf_counter_ns()
 
+        # every check that can refuse the frame runs before any state changes
         d = descriptor.build_descriptor(head, left, right)
+        if cfg.use_keypoints and keypoints is not None:
+            keypoints = self._keypoints.validated(keypoints)
         descriptor.push_frame(self._window, d, head.timestamp)
         latencies["descriptor"] = (time.perf_counter_ns() - t_start) / 1e3
 
@@ -247,13 +243,7 @@ class PipelineSession:
         latencies["predict"] = (time.perf_counter_ns() - t0) / 1e3
 
         t0 = time.perf_counter_ns()
-        positions = kinematics.forward_kinematics(
-            pose, self.tree, kinematics.WorldAnchor(head.position, head.orientation)
-        )
-        if self._noise_rng is not None:
-            positions = positions + self._noise_rng.normal(
-                0.0, cfg.prediction_noise_sigma, size=positions.shape
-            )
+        positions = kinematics.forward_kinematics(pose, self.tree, head.position, self._tracked[0])
         latencies["fk"] = (time.perf_counter_ns() - t0) / 1e3
 
         if cfg.use_filter:
@@ -263,9 +253,8 @@ class PipelineSession:
 
         if cfg.use_kpo:
             t0 = time.perf_counter_ns()
-            devices = (head, left, right)
             self._kpo_solver.set_arrays(
-                positions, np.stack([devices[d].position for d in self._anchor_devices])
+                positions, np.stack([head.position, left.position, right.position])
             )
             positions, _ = self._kpo_solver.run()
             latencies["kpo"] = (time.perf_counter_ns() - t0) / 1e3
@@ -292,8 +281,7 @@ class ReplayReport:
         return evalmod.render_report(doc)
 
 
-def run_replay(motion_path, keypoint_path, config: PipelineConfig,
-               tree: core.KinematicTree | None = None) -> ReplayReport:
+def run_replay(motion_path, keypoint_path, config: PipelineConfig) -> ReplayReport:
     """Stream a replay file through one session and aggregate metrics.
 
     Ground truth comes from the gt annotations in the motion file; the
@@ -307,7 +295,7 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig,
             raise FrameCountMismatch(
                 f"{len(frames)} motion frames vs {len(kp_frames)} keypoint frames"
             )
-    session = PipelineSession(config, tree)
+    session = PipelineSession(config)
 
     upper, lower = evalmod.body_halves(session.tree)
     per_frame = {"mpjpe": [], "mpjpe_u": [], "mpjpe_l": [], "pa_mpjpe": [], "mpjre": []}

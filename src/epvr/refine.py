@@ -32,7 +32,9 @@ class KeypointStream:
     visibility. A frame without keypoints reuses the last positions with
     visibility decayed by missing_zeta_decay. Every frame is refined once,
     when it arrives, so the window equals a single full pass over the
-    stream on every retained frame.
+    stream on every retained frame. Keypoints are checked by validated
+    before the frame is stepped, so a refused frame leaves the stream as
+    it was.
     """
 
     def __init__(self, joint_count: int, window: int, min_cutoff=DEFAULT_MIN_CUTOFF,
@@ -46,7 +48,9 @@ class KeypointStream:
         self.last_z = None
         self.carry_zeta = None
 
-    def _validated(self, keypoints):
+    def validated(self, keypoints):
+        """(z (J, 3), zeta (J,)) as float arrays; raises ShapeError on
+        another shape, a non-finite z or a zeta outside [0, 1]."""
         j = self.filters.channels
         z, zeta = keypoints
         z = np.array(z, dtype=np.float64)
@@ -55,16 +59,18 @@ class KeypointStream:
             raise ShapeError(f"keypoints must be ({j}, 3), got {z.shape}")
         if zeta.shape != (j,):
             raise ShapeError(f"visibility must be ({j},), got {zeta.shape}")
+        if not np.isfinite(z).all():
+            raise ShapeError("keypoint coordinates must be finite")
         if not np.all((zeta >= 0.0) & (zeta <= 1.0)):
             raise ShapeError("visibility probabilities must lie in [0, 1]")
         return z, zeta
 
     def _step(self, t: float, keypoints, normalized: bool):
-        """Refine the frame at time t; keypoints is (z (J, 3), zeta (J,)) or
-        None. Returns a copy of the refined window (oldest first), or None
-        while no keypoints have arrived yet."""
+        """Refine the frame at time t; keypoints is a pair returned by
+        validated, or None. Returns a copy of the refined window (oldest
+        first), or None while no keypoints have arrived yet."""
         if keypoints is not None:
-            z, zeta = self._validated(keypoints)
+            z, zeta = keypoints
         elif self.last_z is not None:
             z, zeta = self.last_z, self.carry_zeta * self.missing_zeta_decay
         else:
@@ -82,7 +88,8 @@ class KeypointStream:
 
 
 def refine(stream: KeypointStream, t: float, keypoints=None):
-    """Literal-mask step: push one frame, return the refined window or None."""
+    """Literal-mask step: push one frame (keypoints from stream.validated,
+    or None), return the refined window or None."""
     return stream._step(t, keypoints, normalized=False)
 
 

@@ -157,19 +157,19 @@ def one_euro_reference(xs, ts, min_cutoff, beta, d_cutoff):
 #
 # The energies KpoSolver minimizes, evaluated term by term over the bones
 # (j, tree.parent[j]) instead of through the solver's folded quadratic form.
-# cfg supplies lambda_a, lambda_s, lambda_l, lambda_d and observed; anchors
-# maps each observed joint to its tracked position.
+# cfg supplies lambda_a, lambda_s, lambda_l and lambda_d; anchors maps each
+# anchor joint to its tracked position.
 
 
 def kpo_alignment_energy(p, initial, anchors, cfg):
-    """lambda_a |p_k - anchor_k|^2 over observed joints k plus
+    """lambda_a |p_k - anchor_k|^2 over anchor joints k plus
     lambda_s |p_j - initial_j|^2 over the others."""
     p = np.asarray(p, dtype=np.float64)
-    observed = [k for k in cfg.observed if 0 <= k < len(p)]
-    others = [j for j in range(len(p)) if j not in observed]
+    joints = list(anchors)
+    others = [j for j in range(len(p)) if j not in anchors]
     energy = 0.0
-    if observed:
-        d = p[observed] - np.stack([np.asarray(anchors[k], dtype=np.float64) for k in observed])
+    if joints:
+        d = p[joints] - np.stack([np.asarray(anchors[k], dtype=np.float64) for k in joints])
         energy += cfg.lambda_a * float(np.sum(d * d))
     if others:
         d = p[others] - initial[others]

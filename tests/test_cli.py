@@ -85,3 +85,14 @@ def test_bench_reports_stage_means_over_every_run(capsys, monkeypatch):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("fps 200.0 ")
     assert lines[1:] == [f"stage.{stage}_us 30.0" for stage in pipeline.STAGES]
+
+
+@pytest.mark.parametrize("flag", ["--runs", "--frames"])
+@pytest.mark.parametrize("value", ["0", "-2", "x"])
+def test_bench_refuses_a_count_below_one(capsys, flag, value):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["bench", flag, value])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: epvr bench")
+    assert f"argument {flag}: must be a positive integer" in err

@@ -114,10 +114,7 @@ def test_default_tree_structure():
     assert tree.parent[0] == core.ROOT_PARENT
     assert all(tree.parent[i] < i for i in range(1, 22))
     assert tree.names[0] == "pelvis"
-    assert tree.joint_index("head") == core.HEAD_JOINT
-    assert tree.joint_index("left_wrist") == core.LEFT_HAND_JOINT
-    assert tree.joint_index("right_wrist") == core.RIGHT_HAND_JOINT
-    assert [tree.joint_index(n) for n in core.TRACKED_JOINT_NAMES] == list(core.OBSERVED_JOINTS)
+    assert core.tracked_joints(tree) == [15, 20, 21]
     assert np.all(oracles.rest_lengths(tree) > 0)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epvr import core, descriptor, replayfile
-from epvr.errors import FileFormat, NonMonotonicTime, StaleFrame, TimestampSkew
+from epvr.errors import FileFormat, NonFiniteInput, NonMonotonicTime, StaleFrame, TimestampSkew
 
 import oracles
 
@@ -93,6 +93,18 @@ def test_rigid_transform_covariance():
 def test_timestamp_skew_rejected():
     with pytest.raises(TimestampSkew):
         descriptor.build_descriptor(_pose(t=0.0), _pose(t=0.001), _pose(t=0.0))
+
+
+@pytest.mark.parametrize("bad", [
+    dict(t=np.nan), dict(pos=(0, np.nan, 0)), dict(v=(np.inf, 0, 0)),
+    dict(w=(0, 0, 0, 0, 0, np.nan)),
+])
+@pytest.mark.parametrize("device", [0, 1, 2])
+def test_non_finite_device_pose_rejected(bad, device):
+    poses = [_pose(), _pose(), _pose()]
+    poses[device] = _pose(**bad)
+    with pytest.raises(NonFiniteInput):
+        descriptor.build_descriptor(*poses)
 
 
 def test_derive_velocities_zero_for_identical_poses():

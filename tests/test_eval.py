@@ -234,10 +234,11 @@ def test_generated_projections_are_self_consistent():
 
 def test_device_poses_sit_on_their_joints():
     seq = evalmod.generate_sequence("kick", 1.0, 30.0, seed=4)
+    head, left, right = core.tracked_joints(seq.tree)
     for i in range(seq.frame_count):
-        assert np.array_equal(seq.head[i].position, seq.positions[i][core.HEAD_JOINT])
-        assert np.array_equal(seq.left[i].position, seq.positions[i][core.LEFT_HAND_JOINT])
-        assert np.array_equal(seq.right[i].position, seq.positions[i][core.RIGHT_HAND_JOINT])
+        assert np.array_equal(seq.head[i].position, seq.positions[i][head])
+        assert np.array_equal(seq.left[i].position, seq.positions[i][left])
+        assert np.array_equal(seq.right[i].position, seq.positions[i][right])
 
 
 def test_unknown_motion_kind():

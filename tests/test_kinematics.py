@@ -25,12 +25,12 @@ def _cumulative_offsets(tree):
 
 def test_identity_pose_positions_are_cumulative_offsets():
     tree = core.default_tree()
-    anchor = kinematics.WorldAnchor([0, 0, 0], core.IDENTITY_6D)
-    got = kinematics.forward_kinematics(oracles.rest_pose(), tree, anchor)
+    head = tree.joint_index("head")
+    got = kinematics.forward_kinematics(oracles.rest_pose(), tree, np.zeros(3))
     want = _cumulative_offsets(tree)
-    want -= want[core.HEAD_JOINT]
+    want -= want[head]
     assert np.max(np.abs(got - want)) < 1e-12
-    assert np.allclose(got[core.HEAD_JOINT], 0.0, atol=1e-15)
+    assert np.allclose(got[head], 0.0, atol=1e-15)
 
 
 def test_anchor_translation_commutes_exactly():
@@ -38,12 +38,8 @@ def test_anchor_translation_commutes_exactly():
     rng = np.random.default_rng(50)
     pose = _random_pose(rng)
     t = np.array([1.0, 2.0, 3.0])
-    at_zero = kinematics.forward_kinematics(
-        pose, tree, kinematics.WorldAnchor([0, 0, 0], core.IDENTITY_6D)
-    )
-    at_t = kinematics.forward_kinematics(
-        pose, tree, kinematics.WorldAnchor(t, core.IDENTITY_6D)
-    )
+    at_zero = kinematics.forward_kinematics(pose, tree, np.zeros(3))
+    at_t = kinematics.forward_kinematics(pose, tree, t)
     assert np.array_equal(at_t, at_zero + t)
 
 
@@ -53,24 +49,22 @@ def test_anchor_translation_from_arbitrary_base():
     pose = _random_pose(rng)
     base = rng.standard_normal(3)
     t = rng.standard_normal(3)
-    a = kinematics.forward_kinematics(pose, tree, kinematics.WorldAnchor(base, core.IDENTITY_6D))
-    b = kinematics.forward_kinematics(
-        pose, tree, kinematics.WorldAnchor(base + t, core.IDENTITY_6D)
-    )
+    a = kinematics.forward_kinematics(pose, tree, base)
+    b = kinematics.forward_kinematics(pose, tree, base + t)
     assert np.max(np.abs(b - (a + t))) < 1e-12
 
 
 def test_root_rotation_rigidly_rotates_about_head_anchor():
     tree = core.default_tree()
     ry = oracles.quat_to_matrix(oracles.quat_from_axis_angle([0, 1, 0], np.pi / 2))
-    anchor = kinematics.WorldAnchor([0.3, 1.6, -0.2], core.IDENTITY_6D)
+    anchor = np.array([0.3, 1.6, -0.2])
     identity_pose = oracles.rest_pose()
     base = kinematics.forward_kinematics(identity_pose, tree, anchor)
     rotated_pose = core.FullBodyPose(
         core.matrix_to_rot6d(ry), identity_pose.local_rotations
     )
     got = kinematics.forward_kinematics(rotated_pose, tree, anchor)
-    want = (base - anchor.head_position) @ ry.T + anchor.head_position
+    want = (base - anchor) @ ry.T + anchor
     assert np.max(np.abs(got - want)) < 1e-9
 
 
@@ -78,7 +72,7 @@ def test_rigidity_over_random_rotations():
     tree = core.default_tree()
     rest = oracles.rest_lengths(tree)
     rng = np.random.default_rng(52)
-    anchor = kinematics.WorldAnchor([0, 1.6, 0], core.IDENTITY_6D)
+    anchor = np.array([0, 1.6, 0])
     for _ in range(200):
         pose = _random_pose(rng)
         pos = kinematics.forward_kinematics(pose, tree, anchor)
@@ -94,25 +88,10 @@ def test_orthonormalization_invariance():
     pose_raw = core.FullBodyPose(raw[0], raw[1:])
     ortho = core.matrix_to_rot6d(core.rot6d_to_matrix(raw))
     pose_ortho = core.FullBodyPose(ortho[0], ortho[1:])
-    anchor = kinematics.WorldAnchor([0.5, 1.5, 0.5], core.IDENTITY_6D)
+    anchor = np.array([0.5, 1.5, 0.5])
     a = kinematics.forward_kinematics(pose_raw, tree, anchor)
     b = kinematics.forward_kinematics(pose_ortho, tree, anchor)
     assert np.max(np.abs(a - b)) < 1e-9
-
-
-def test_head_orientation_flag_pre_rotates_root():
-    tree = core.default_tree()
-    rng = np.random.default_rng(54)
-    pose = _random_pose(rng)
-    q = oracles.random_rotation(rng)
-    anchor = kinematics.WorldAnchor([0, 1.6, 0], core.matrix_to_rot6d(q))
-    with_flag = kinematics.forward_kinematics(pose, tree, anchor, align_head_orientation=True)
-    pre_rotated = core.FullBodyPose(
-        core.matrix_to_rot6d(q @ core.rot6d_to_matrix(pose.root_rotation)),
-        pose.local_rotations,
-    )
-    manual = kinematics.forward_kinematics(pre_rotated, tree, anchor)
-    assert np.max(np.abs(with_flag - manual)) < 1e-9
 
 
 def test_bone_vectors_identity_pose():
@@ -136,7 +115,7 @@ def test_bone_vectors_translation_invariant():
 def test_bone_vectors_match_direct_arithmetic():
     tree = core.default_tree()
     rng = np.random.default_rng(56)
-    anchor = kinematics.WorldAnchor(rng.standard_normal(3), core.IDENTITY_6D)
+    anchor = rng.standard_normal(3)
     pos = kinematics.forward_kinematics(_random_pose(rng), tree, anchor)
     disp, lengths = kinematics.bone_vectors(pos, tree)
     for k, child in enumerate(range(1, tree.joint_count)):
@@ -164,7 +143,7 @@ def test_forward_chain_rotations_are_the_ancestor_products():
     tree = core.default_tree()
     rng = np.random.default_rng(57)
     pose = _random_pose(rng)
-    anchor = kinematics.WorldAnchor([0, 1.6, 0], core.IDENTITY_6D)
+    anchor = np.array([0, 1.6, 0])
     pos, rot = kinematics.forward_chain(pose, tree, anchor)
     assert np.array_equal(pos, kinematics.forward_kinematics(pose, tree, anchor))
     local = core.rot6d_to_matrix(pose.stacked_rotations())
@@ -186,7 +165,7 @@ def test_forward_chain_poses_a_tree_of_any_size():
     tree = _chain_tree()
     rz = oracles.quat_to_matrix(oracles.quat_from_axis_angle([0, 0, 1], np.pi / 2))
     pose = core.FullBodyPose(core.IDENTITY_6D, [core.matrix_to_rot6d(rz), core.IDENTITY_6D])
-    anchor = kinematics.WorldAnchor([0, 0, 0], core.IDENTITY_6D)
+    anchor = np.zeros(3)
     pos, rot = kinematics.forward_chain(pose, tree, anchor)
     # the root bone stays on +y, the rotated mid joint turns its child bone to -x
     want = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [-0.25, 0.5, 0.0]])
@@ -198,6 +177,6 @@ def test_forward_chain_poses_a_tree_of_any_size():
 @pytest.mark.parametrize("rotations", [2, 4, 22])
 def test_forward_chain_rejects_a_rotation_count_the_tree_does_not_have(rotations):
     pose = oracles.rest_pose(rotations)
-    anchor = kinematics.WorldAnchor([0, 0, 0], core.IDENTITY_6D)
+    anchor = np.zeros(3)
     with pytest.raises(ShapeError, match=f"{rotations} rotations"):
         kinematics.forward_chain(pose, _chain_tree(), anchor)

@@ -10,6 +10,11 @@ from epvr.errors import ZeroLengthBone
 import oracles
 
 
+# joints the headset and the two controllers sit on in the default tree
+ANCHORS = core.tracked_joints(core.default_tree())
+HEAD = ANCHORS[0]
+
+
 def chain_tree(offsets=((0, 0.3, 0), (0, 0.25, 0))):
     names = tuple(f"j{i}" for i in range(len(offsets) + 1))
     parents = [core.ROOT_PARENT] + list(range(len(offsets)))
@@ -38,14 +43,14 @@ def random_problem(rng, tree=None, anchor_noise=0.03, jitter=0.01):
     tree = tree or core.default_tree()
     initial = default_positions(tree, rng, jitter)
     anchors = {
-        k: initial[k] + rng.normal(0.0, anchor_noise, 3) for k in core.OBSERVED_JOINTS
+        k: initial[k] + rng.normal(0.0, anchor_noise, 3) for k in ANCHORS
     }
     return Problem(initial, anchors, tree)
 
 
 def make_solver(problem, cfg):
-    solver = kpo.KpoSolver(cfg, problem.tree)
-    solver.set_arrays(problem.initial, np.array([problem.anchors[k] for k in solver.obs]))
+    solver = kpo.KpoSolver(cfg, problem.tree, list(problem.anchors))
+    solver.set_arrays(problem.initial, np.array([problem.anchors[k] for k in solver.anchors]))
     return solver
 
 
@@ -71,7 +76,7 @@ def naive_total(p, problem, cfg):
 def alignment_oracle(p, problem, cfg):
     total = 0.0
     for k in range(problem.tree.joint_count):
-        if k in cfg.observed:
+        if k in problem.anchors:
             d = p[k] - problem.anchors[k]
             total += cfg.lambda_a * float(d @ d)
         else:
@@ -115,7 +120,7 @@ def test_alignment_zero_at_exact_match():
     problem = random_problem(rng)
     cfg = alignment_only(kpo.KpoConfig())
     p = problem.initial.copy()
-    for k in core.OBSERVED_JOINTS:
+    for k in ANCHORS:
         p[k] = problem.anchors[k]
     assert make_solver(problem, cfg).energy(p) == 0.0
 
@@ -125,10 +130,10 @@ def test_alignment_single_displacement_arithmetic():
     problem = random_problem(rng)
     cfg = alignment_only(kpo.KpoConfig(lambda_a=2.5))
     p = problem.initial.copy()
-    for k in core.OBSERVED_JOINTS:
+    for k in ANCHORS:
         p[k] = problem.anchors[k]
     d = 0.07
-    p[core.HEAD_JOINT] = problem.anchors[core.HEAD_JOINT] + np.array([d, 0, 0])
+    p[HEAD] = problem.anchors[HEAD] + np.array([d, 0, 0])
     assert abs(make_solver(problem, cfg).energy(p) - 2.5 * d * d) < 1e-15
 
 
@@ -179,12 +184,12 @@ def test_structure_rejects_collapsed_bone():
     problem = Problem(initial, {2: initial[2]}, tree)
     p = initial.copy()
     p[1] = p[0]
-    solver = make_solver(problem, kpo.KpoConfig(observed=(2,)))
+    solver = make_solver(problem, kpo.KpoConfig())
     with pytest.raises(ZeroLengthBone):
         solver.energy(p)
     collapsed = Problem(p, {2: initial[2]}, tree)
     with pytest.raises(ZeroLengthBone):
-        make_solver(collapsed, kpo.KpoConfig(observed=(2,)))
+        make_solver(collapsed, kpo.KpoConfig())
 
 
 # --- total energy and gradient ------------------------------------------------
@@ -215,7 +220,7 @@ def test_gradient_zero_at_joint_minimum():
     rng = np.random.default_rng(68)
     tree = core.default_tree()
     initial = default_positions(tree, rng, 0.005)
-    anchors = {k: initial[k].copy() for k in core.OBSERVED_JOINTS}
+    anchors = {k: initial[k].copy() for k in ANCHORS}
     problem = Problem(initial, anchors, tree)
     _, grad = make_solver(problem, kpo.KpoConfig()).value_and_gradient(initial)
     assert np.max(np.abs(grad)) < 1e-12
@@ -225,15 +230,15 @@ def test_gradient_pure_anchor_term():
     rng = np.random.default_rng(69)
     tree = core.default_tree()
     initial = default_positions(tree, rng, 0.005)
-    anchors = {k: initial[k].copy() for k in core.OBSERVED_JOINTS}
+    anchors = {k: initial[k].copy() for k in ANCHORS}
     problem = Problem(initial, anchors, tree)
     cfg = kpo.KpoConfig(lambda_a=1.3, lambda_s=0.5, lambda_l=0.0, lambda_d=0.0)
     d = 0.04
     p = initial.copy()
-    p[core.HEAD_JOINT, 0] += d
+    p[HEAD, 0] += d
     _, grad = make_solver(problem, cfg).value_and_gradient(p)
     want = np.zeros_like(grad)
-    want[core.HEAD_JOINT, 0] = 2 * 1.3 * d
+    want[HEAD, 0] = 2 * 1.3 * d
     assert np.max(np.abs(grad - want)) < 1e-12
 
 
@@ -259,7 +264,7 @@ def test_optimize_fixed_point_when_anchors_satisfied():
     rng = np.random.default_rng(71)
     tree = core.default_tree()
     initial = default_positions(tree, rng, 0.01)
-    anchors = {k: initial[k].copy() for k in core.OBSERVED_JOINTS}
+    anchors = {k: initial[k].copy() for k in ANCHORS}
     problem = Problem(initial, anchors, tree)
     out, report = optimize(problem, kpo.KpoConfig())
     assert report.iterations <= 1
@@ -272,7 +277,7 @@ def test_optimize_three_joint_chain_matches_grid_search():
     tree = chain_tree()
     cfg = kpo.KpoConfig(
         lambda_a=1.0, lambda_s=0.0, lambda_l=1.0, lambda_d=0.5,
-        max_iterations=3000, step_size=0.1, energy_tolerance=1e-18, observed=(2,),
+        max_iterations=3000, step_size=0.1, energy_tolerance=1e-18,
     )
     for _ in range(5):
         initial = default_positions(tree) + rng.normal(0, 0.02, (3, 3))
@@ -301,7 +306,7 @@ def test_optimize_monotone_trace_and_anchor_improvement():
         problem = random_problem(rng)
         out, report = optimize(problem, cfg)
         assert np.all(np.diff(report.energy_trace) < 0)
-        for k in core.OBSERVED_JOINTS:
+        for k in ANCHORS:
             before = np.linalg.norm(problem.initial[k] - problem.anchors[k])
             after = np.linalg.norm(out[k] - problem.anchors[k])
             assert after < before
@@ -330,7 +335,7 @@ def test_structure_preserved_with_large_length_weight():
     for _ in range(10):
         initial = default_positions(tree, rng, 0.01)
         anchors = {
-            k: initial[k] + rng.normal(0.0, 0.02, 3) for k in core.OBSERVED_JOINTS
+            k: initial[k] + rng.normal(0.0, 0.02, 3) for k in ANCHORS
         }
         for k, v in anchors.items():
             anchors[k] = initial[k] + (v - initial[k]) * min(
@@ -352,7 +357,7 @@ def test_optimize_reduces_error_toward_truth():
     tree = core.default_tree()
     truth = default_positions(tree, rng, 0.01)
     noisy = truth + rng.normal(0.0, 0.02, truth.shape)
-    problem = Problem(noisy, {k: truth[k] for k in core.OBSERVED_JOINTS}, tree)
+    problem = Problem(noisy, {k: truth[k] for k in ANCHORS}, tree)
     out, _ = optimize(problem, kpo.KpoConfig())
     before = np.mean(np.linalg.norm(noisy - truth, axis=1))
     after = np.mean(np.linalg.norm(out - truth, axis=1))

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from epvr import eval as evalmod, kpo, net, neural, pipeline
+from epvr import eval as evalmod, net, neural, pipeline
 
 TIMEOUT = 3.0
 MODEL = "hmd"
@@ -157,8 +157,7 @@ def test_two_envelope_frame_is_not_held_for_a_delayed_ack(server):
 
 def test_registry_the_pipeline_rejects_is_refused_at_start():
     bad = pipeline.PipelineConfig(
-        predictor="heuristic", use_keypoints=False, use_fusion=False,
-        kpo=kpo.KpoConfig(observed=(0,)),
+        predictor="heuristic", use_keypoints=False, use_fusion=False, filter_min_cutoff=0.0,
     )
     with pytest.raises(ValueError, match="'bad'"):
         net.Server(("127.0.0.1", 0), {**REGISTRY, "bad": bad})

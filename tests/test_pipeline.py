@@ -1,9 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from epvr import cli, core, eval as evalmod, kpo, neural, pipeline
+from epvr.errors import NonFiniteInput, ShapeError
 from epvr.filtering import VectorFilterBank
 
 import oracles
@@ -119,11 +121,9 @@ def _custom_config():
     return pipeline.PipelineConfig(
         predictor="heuristic", use_keypoints=True, use_refine_normalized=True,
         use_fusion=False, use_filter=False, window=12,
-        kpo=kpo.KpoConfig(lambda_a=2.0, max_iterations=7, energy_tolerance=1e-4,
-                          observed=(15,)),
+        kpo=kpo.KpoConfig(lambda_a=2.0, max_iterations=7, energy_tolerance=1e-4),
         filter_min_cutoff=0.5, filter_beta=0.2, refine_d_cutoff=3.0,
-        weights_path="w.bin", replay_file="r.jsonl", prediction_noise_sigma=0.01,
-        missing_zeta_decay=0.7,
+        weights_path="w.bin", replay_file="r.jsonl", missing_zeta_decay=0.7,
     )
 
 
@@ -139,12 +139,19 @@ def test_config_rejects_unknown_keys():
         pipeline.PipelineConfig.from_dict({"use_kpo_": False})
     with pytest.raises(ValueError, match="max_iters"):
         pipeline.PipelineConfig.from_dict({"kpo": {"max_iters": 3}})
+    # settings that were removed: the KPO anchors come from the tree, and
+    # random weights always use seed 0
+    with pytest.raises(ValueError, match="observed"):
+        pipeline.PipelineConfig.from_dict({"kpo": {"observed": [15, 20, 21]}})
+    for key in ("prediction_noise_sigma", "prediction_noise_seed", "weights_seed"):
+        with pytest.raises(ValueError, match=key):
+            pipeline.PipelineConfig.from_dict({key: 1})
 
 
 def test_ablation_changes_only_the_named_stage():
     cfg = _custom_config()
     ablated = cli.apply_ablation(cfg, ["filter", "kpo"])
-    assert ablated.kpo.observed == (15,)
+    assert ablated.kpo == cfg.kpo
     assert ablated == pipeline.PipelineConfig(
         **{**cfg.__dict__, "use_filter": False, "use_kpo": False}
     )
@@ -155,30 +162,25 @@ def test_ablation_changes_only_the_named_stage():
 # --- skeleton facts ------------------------------------------------------------
 
 
-@pytest.mark.parametrize("observed", [(0,), (15, 4), (99,)])
-def test_observed_joint_without_a_device_is_rejected_at_construction(observed):
-    cfg = pipeline.PipelineConfig(
-        predictor="heuristic", use_keypoints=False, use_fusion=False,
-        kpo=kpo.KpoConfig(observed=observed),
-    )
-    with pytest.raises(ValueError, match="not tracked"):
-        pipeline.PipelineSession(cfg)
-
-
 @pytest.mark.parametrize("joint,device,other", [(20, 1, 2), (21, 2, 1)])
 def test_kpo_pulls_each_observed_joint_toward_its_own_device(joint, device, other):
+    """Moving one controller by 0.2 m moves the wrist it sits on, and
+    hardly the other wrist."""
+    tracked = core.tracked_joints(core.default_tree())
+    assert tracked[device] == joint
     seq, _, _ = _walk(1)
-    devices = (seq.head[0], seq.left[0], seq.right[0])
-    base = dict(predictor="heuristic", use_keypoints=False, use_fusion=False, use_filter=False)
-    before = pipeline.PipelineSession(pipeline.PipelineConfig(**base, use_kpo=False))
-    after = pipeline.PipelineSession(
-        pipeline.PipelineConfig(**base, kpo=kpo.KpoConfig(observed=(joint,)))
+    devices = [seq.head[0], seq.left[0], seq.right[0]]
+    moved = list(devices)
+    moved[device] = dataclasses.replace(
+        devices[device], position=devices[device].position + np.array([0.2, 0.0, 0.0])
     )
-    p0 = before.process_frame(*devices).pose.positions[joint]
-    p1 = after.process_frame(*devices).pose.positions[joint]
-    target = devices[device].position
-    assert np.linalg.norm(p1 - target) < 0.5 * np.linalg.norm(p0 - target)
-    assert np.linalg.norm(p1 - target) < np.linalg.norm(p1 - devices[other].position)
+    cfg = pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False,
+                                  use_filter=False)
+    base = pipeline.PipelineSession(cfg).process_frame(*devices).pose.positions
+    shifted = pipeline.PipelineSession(cfg).process_frame(*moved).pose.positions
+    follow = np.linalg.norm(shifted - base, axis=1)
+    assert follow[joint] > 0.1
+    assert follow[joint] > 10.0 * follow[tracked[other]]
 
 
 def test_ground_truth_record_takes_its_joint_count_from_the_data():
@@ -198,7 +200,7 @@ def _chain_tree():
 def test_session_takes_the_skeleton_size_from_its_tree(predictor):
     tree = _chain_tree()
     cfg = pipeline.PipelineConfig(predictor=predictor, use_fusion=predictor == "neural",
-                                  window=WINDOW, kpo=kpo.KpoConfig(observed=(3, 1, 2)))
+                                  window=WINDOW)
     session = pipeline.PipelineSession(cfg, tree)
     seq, _, _ = _walk(3)
     kp = (np.zeros((4, 3)), np.ones(4))
@@ -206,6 +208,14 @@ def test_session_takes_the_skeleton_size_from_its_tree(predictor):
         result = session.process_frame(seq.head[i], seq.left[i], seq.right[i], kp)
     assert result.pose.stacked_rotations().shape == (4, 6)
     assert result.pose.positions.shape == (4, 3)
+
+
+def test_session_refuses_a_tree_without_a_tracked_joint():
+    tree = core.KinematicTree(("pelvis", "spine", "right_wrist", "head"), [-1, 0, 1, 1],
+                              [[0, 0, 0], [0, 0.3, 0], [0.3, 0, 0], [0, 0.3, 0]])
+    cfg = pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False)
+    with pytest.raises(ValueError, match="'left_wrist'"):
+        pipeline.PipelineSession(cfg, tree)
 
 
 @pytest.mark.parametrize("field,value", [("window", 7), ("joints", 5), ("keypoint_dim", 15)])
@@ -226,3 +236,51 @@ def test_weights_that_fit_the_tree_are_used(tmp_path):
         pipeline.PipelineConfig(window=WINDOW, weights_path=str(path)), core.default_tree()
     )
     assert predictor.net_cfg == net_cfg
+
+
+# --- rejected frames -------------------------------------------------------------
+
+
+def _visibility_of_five(head, left, right, kp):
+    return head, left, right, (kp[0], kp[1][:5])
+
+
+def _nan_keypoint(head, left, right, kp):
+    z = kp[0].copy()
+    z[3, 1] = np.nan
+    return head, left, right, (z, kp[1])
+
+
+def _nan_head_position(head, left, right, kp):
+    return dataclasses.replace(head, position=[np.nan, 1.6, 0.0]), left, right, kp
+
+
+def _nan_timestamp(head, left, right, kp):
+    head, left, right = (dataclasses.replace(d, timestamp=np.nan) for d in (head, left, right))
+    return head, left, right, kp
+
+
+@pytest.mark.parametrize("spoil,predictor,error", [
+    (_visibility_of_five, "neural", ShapeError),
+    (_nan_keypoint, "neural", ShapeError),
+    (_nan_head_position, "heuristic", NonFiniteInput),
+    (_nan_timestamp, "heuristic", NonFiniteInput),
+])
+def test_a_rejected_frame_leaves_the_session_unchanged(spoil, predictor, error):
+    seq, z, zeta = _walk(61)
+    cfg = pipeline.PipelineConfig(predictor=predictor, window=WINDOW)
+    clean = pipeline.PipelineSession(cfg)
+    probed = pipeline.PipelineSession(cfg)
+
+    def frame(i):
+        return seq.head[i], seq.left[i], seq.right[i], (z[i], zeta[i])
+
+    clean.process_frame(*frame(0))
+    probed.process_frame(*frame(0))
+    with pytest.raises(error):
+        probed.process_frame(*spoil(*frame(1)))
+    for i in range(1, 61):
+        want = clean.process_frame(*frame(i)).pose
+        got = probed.process_frame(*frame(i)).pose
+        assert np.array_equal(got.stacked_rotations(), want.stacked_rotations())
+        assert np.array_equal(got.positions, want.positions)

@@ -182,9 +182,11 @@ def test_sequence_validation():
         (np.zeros((2, 3)), np.array([0.5, 1.5])),  # outside [0, 1]
         (np.zeros((2, 3)), np.array([-0.1, 0.5])),
         (np.zeros((2, 3)), np.array([np.nan, 0.5])),
+        (np.array([[0.0, np.nan, 0.0], [0.0, 0.0, 1.0]]), np.ones(2)),  # non-finite z
+        (np.array([[0.0, 0.0, np.inf], [0.0, 0.0, 1.0]]), np.ones(2)),
     ):
         with pytest.raises(ShapeError):
-            refine.refine(stream, 0.0, (z, zeta))
+            stream.validated((z, zeta))
     assert stream.fill == 0 and stream.last_z is None
     with pytest.raises(ValueError):
         refine.KeypointStream(2, 0)
