@@ -34,12 +34,6 @@ def build_descriptor(head: core.DevicePose, left: core.DevicePose, right: core.D
     NonFiniteInput when a timestamp or any entry is NaN or infinite.
     """
     ts = (head.timestamp, left.timestamp, right.timestamp)
-    if max(ts) - min(ts) > SYNC_TOLERANCE:
-        raise TimestampSkew(f"device timestamps diverge: {ts}")
-    rots = core.rot6d_to_matrix(
-        np.stack([head.orientation, left.orientation, right.orientation])
-    )
-    head_rot_t = rots[0].T
     out = np.empty(DESCRIPTOR_DIM)
     for slot, pose in zip((G_HEAD, G_LEFT, G_RIGHT), (head, left, right)):
         block = out[slot]
@@ -47,14 +41,21 @@ def build_descriptor(head: core.DevicePose, left: core.DevicePose, right: core.D
         block[3:9] = pose.orientation
         block[9:12] = pose.linear_velocity
         block[12:18] = pose.angular_velocity
+    # before any arithmetic, which would turn a NaN or inf into a numpy warning
+    if not np.isfinite(np.concatenate([ts, out[:G_RIGHT.stop]])).all():
+        raise NonFiniteInput("device poses carry a NaN or infinite value")
+    if max(ts) - min(ts) > SYNC_TOLERANCE:
+        raise TimestampSkew(f"device timestamps diverge: {ts}")
+    rots = core.rot6d_to_matrix(
+        np.stack([head.orientation, left.orientation, right.orientation])
+    )
+    head_rot_t = rots[0].T
     for slot, pose, rot in zip((R_LEFT, R_RIGHT), (left, right), rots[1:]):
         block = out[slot]
         block[0:3] = head_rot_t @ (pose.position - head.position)
         rel = head_rot_t @ rot  # orthonormal product: extract 6D directly
         block[3:6] = rel[:, 0]
         block[6:9] = rel[:, 1]
-    if not (np.isfinite(out).all() and np.isfinite(ts).all()):
-        raise NonFiniteInput("device poses carry a NaN or infinite value")
     return out
 
 

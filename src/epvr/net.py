@@ -8,12 +8,15 @@ docs/protocol.md):
     timestamp u64 (microseconds) | payload length u32 | payload |
     CRC-32 u32 over everything before it
 
-Servers hold one sequential pipeline worker per session. Sensor frames
-land in a single-slot latest-wins buffer: a new frame overwrites an
-unconsumed one (counted, not an error), so server memory stays bounded
-no matter how fast a client sends. Pose results go back to the input
-client and to any render subscribers of the same session; a subscriber
-that cannot keep up is dropped after a bounded backlog.
+One handler thread per connection reads its envelopes and owns what the
+connection opens, an input session or a render subscription: the end of
+the handler is the only place either ends, at end of stream and at
+Server.close() alike. Each session holds one sequential pipeline worker.
+Sensor frames land in a single-slot latest-wins buffer: a new frame
+overwrites an unconsumed one (counted, not an error), so server memory
+stays bounded no matter how fast a client sends. Pose results go back to
+the input client and to any render subscribers of the same session; a
+subscriber that cannot keep up is dropped after a bounded backlog.
 
 Both ends set TCP_NODELAY. A fused frame is two small writes, KEYPOINT_FRAME
 then HMD_FRAME; with Nagle's algorithm on, the second waits in the sender's
@@ -22,13 +25,14 @@ kernel until the peer's delayed ACK of the first (about 40 ms on Linux).
 
 from __future__ import annotations
 
+import dataclasses
 import queue
 import socket
 import struct
 import threading
+import time
 import uuid
 import zlib
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -67,7 +71,7 @@ class Kind(IntEnum):
     PONG = 8
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class Envelope:
     kind: Kind
     session_id: bytes
@@ -126,19 +130,6 @@ _POSE_FIELDS = 1 + 3 + 6 + 3 + 6  # t, p, r6, v, w6
 _POSE_LATENCIES = 3  # predict, kpo, total (microseconds)
 
 
-def _pack_device(pose: core.DevicePose) -> bytes:
-    vals = np.concatenate(
-        [[pose.timestamp], pose.position, pose.orientation,
-         pose.linear_velocity, pose.angular_velocity]
-    )
-    return struct.pack(f"<{_POSE_FIELDS}d", *vals)
-
-
-def _unpack_device(buf, offset) -> core.DevicePose:
-    vals = struct.unpack_from(f"<{_POSE_FIELDS}d", buf, offset)
-    return core.DevicePose(vals[0], vals[1:4], vals[4:10], vals[10:13], vals[13:19])
-
-
 def encode_hello(model: str) -> bytes:
     raw = model.encode("utf-8")
     return struct.pack("<H", len(raw)) + raw
@@ -154,22 +145,27 @@ def decode_hello(payload: bytes) -> str:
 
 
 def encode_hmd_payload(head, left, right) -> bytes:
-    return _pack_device(head) + _pack_device(left) + _pack_device(right)
+    rows = [
+        np.concatenate([[p.timestamp], p.position, p.orientation,
+                        p.linear_velocity, p.angular_velocity])
+        for p in (head, left, right)
+    ]
+    return np.asarray(rows, "<f8").tobytes()
 
 
 def decode_hmd_payload(payload: bytes):
     step = _POSE_FIELDS * 8
     if len(payload) != 3 * step:
         raise ValueError(f"HMD payload must be {3 * step} bytes, got {len(payload)}")
-    return tuple(_unpack_device(payload, i * step) for i in range(3))
+    rows = np.frombuffer(payload, "<f8").reshape(3, _POSE_FIELDS)
+    return tuple(
+        core.DevicePose(float(r[0]), r[1:4], r[4:10], r[10:13], r[13:19]) for r in rows
+    )
 
 
 def encode_keypoint_payload(z, zeta) -> bytes:
-    z = np.asarray(z, dtype=np.float64)
-    zeta = np.asarray(zeta, dtype=np.float64)
-    j = z.shape[0]
-    rows = np.concatenate([z, zeta[:, None]], axis=1)
-    return struct.pack("<I", j) + struct.pack(f"<{4 * j}d", *rows.ravel())
+    rows = np.concatenate([np.asarray(z, "<f8"), np.asarray(zeta, "<f8")[:, None]], axis=1)
+    return struct.pack("<I", len(rows)) + rows.tobytes()
 
 
 def decode_keypoint_payload(payload: bytes):
@@ -178,7 +174,7 @@ def decode_keypoint_payload(payload: bytes):
     (j,) = struct.unpack_from("<I", payload, 0)
     if len(payload) != 4 + 32 * j:
         raise ValueError(f"{len(payload)}-byte keypoint payload does not hold {j} joints")
-    rows = np.array(struct.unpack_from(f"<{4 * j}d", payload, 4)).reshape(j, 4)
+    rows = np.frombuffer(payload, "<f8", offset=4).reshape(j, 4).astype(np.float64)
     return rows[:, :3], rows[:, 3]
 
 
@@ -227,12 +223,13 @@ def decode_error_payload(payload: bytes):
 
 class FrameBuffer:
     """Single-slot buffer: push overwrites, take empties. One writer, one
-    reader; reads never wait on the writer."""
+    reader; close wakes the reader for good."""
 
     def __init__(self):
         self._cond = threading.Condition()
         self._frame = None
         self._dropped = 0
+        self._closed = False
 
     @property
     def dropped(self):
@@ -246,11 +243,19 @@ class FrameBuffer:
             self._frame = frame
             self._cond.notify()
 
-    def take_latest(self, timeout: float | None = None):
-        """Newest unconsumed frame, or None. timeout > 0 waits for one."""
+    def close(self):
         with self._cond:
-            if self._frame is None and timeout:
-                self._cond.wait(timeout)
+            self._closed = True
+            self._cond.notify_all()
+
+    def take_latest(self, timeout: float | None = None):
+        """Newest unconsumed frame, waiting up to timeout seconds for one
+        (without limit when None). None on timeout, and always once the
+        buffer is closed."""
+        with self._cond:
+            self._cond.wait_for(lambda: self._frame is not None or self._closed, timeout)
+            if self._closed:
+                return None
             frame, self._frame = self._frame, None
             return frame
 
@@ -260,6 +265,7 @@ class FrameBuffer:
 
 _SUBSCRIBER_BACKLOG = 64
 _RECV_CHUNK = 1 << 16
+_DRAIN_TIMEOUT = 2.0  # seconds an ending session waits for the frame in hand
 
 
 def _recv_exact(sock, n):
@@ -296,7 +302,8 @@ def read_envelope(sock):
 
 
 class _Connection:
-    """Socket plus a send lock so worker and handler threads can both write."""
+    """Socket plus a send lock so worker and handler threads can both write.
+    Any thread may shut it down; only its handler closes it."""
 
     def __init__(self, sock):
         self.sock = sock
@@ -316,12 +323,18 @@ class _Connection:
             Kind.ERROR, session_id, sequence, timestamp, encode_error_payload(code, message)
         )))
 
-    def close(self):
+    def shutdown(self, how=socket.SHUT_RDWR):
+        """Wake a blocked recv (and, with SHUT_RDWR, a blocked send); the
+        handler's next read is end of stream."""
         try:
-            self.sock.shutdown(socket.SHUT_RDWR)
-        except OSError:
+            self.sock.shutdown(how)
+        except OSError:  # already shut down, or closed
             pass
-        self.sock.close()
+
+    def close(self):
+        self.shutdown()
+        with self._lock:  # a send in flight has returned: the shutdown woke it
+            self.sock.close()
 
 
 class _Subscriber:
@@ -335,12 +348,12 @@ class _Subscriber:
         self._thread.start()
 
     def offer(self, raw: bytes) -> bool:
+        """Queue one result; a full backlog drops the subscriber."""
         try:
             self.queue.put_nowait(raw)
             return True
         except queue.Full:
-            self.alive = False
-            self.conn.close()
+            self.stop()
             return False
 
     def _drain(self):
@@ -352,30 +365,31 @@ class _Subscriber:
                 self.alive = False
 
     def stop(self):
+        """End the drain thread and shut the connection down, so that its
+        handler reads end of stream and closes it."""
         self.alive = False
         try:
             self.queue.put_nowait(None)
-        except queue.Full:
+        except queue.Full:  # the drain thread is not waiting on the queue
             pass
-        self.conn.close()
+        self.conn.shutdown()
+        self._thread.join()
 
 
 class _ServerSession:
-    def __init__(self, server, session_id, conn, model_name):
-        self.server = server
+    """One input connection's pipeline: its handler pushes frames, and a
+    worker thread answers them until the buffer is closed."""
+
+    def __init__(self, session_id, conn, pipeline_session: pipeline.PipelineSession):
         self.session_id = session_id
         self.conn = conn
-        self.model_name = model_name
+        self.pipeline = pipeline_session
         self.buffer = FrameBuffer()
         self.latest_keypoints = None  # (t, z, zeta)
         self.subscribers = []
         self.sub_lock = threading.Lock()
         self.result_seq = 0
         self.last_sensor_seq = -1
-        self.stopping = threading.Event()  # tells the worker to exit
-        self._close_lock = threading.Lock()
-        self._closed = False
-        self.pipeline = server.build_session(model_name)
         self.worker = threading.Thread(target=self._work, daemon=True)
         self.worker.start()
 
@@ -387,29 +401,24 @@ class _ServerSession:
         self.buffer.push((head, left, right, kp))
 
     def _work(self):
-        while not self.stopping.is_set():
-            bundle = self.buffer.take_latest(timeout=0.05)
-            if bundle is None:
-                continue
+        while (bundle := self.buffer.take_latest()) is not None:
             head, left, right, kp = bundle
             try:
                 result = self.pipeline.process_frame(head, left, right, kp)
-            except Exception as e:  # pipeline errors stay inside this session
+            except Exception as e:  # refuses this frame; the session serves the next
                 self.conn.send_error(ERR_PIPELINE, f"{type(e).__name__}: {e}", self.session_id,
                                      self.result_seq, head.timestamp)
-                self.close()
-                return
+                continue
             lat = result.latencies
             payload = encode_pose_payload(
                 result.pose.stacked_rotations(),
                 result.pose.positions,
-                [lat.get("predict", 0.0), lat.get("kpo", 0.0), lat.get("total", 0.0)],
+                [lat["predict"], lat["kpo"], lat["total"]],
             )
-            env = Envelope(
+            raw = encode(Envelope(
                 Kind.POSE_RESULT, self.session_id, self.result_seq, result.timestamp, payload
-            )
+            ))
             self.result_seq += 1
-            raw = encode(env)
             self.conn.send(raw)
             with self.sub_lock:
                 self.subscribers = [s for s in self.subscribers if s.alive and s.offer(raw)]
@@ -418,42 +427,27 @@ class _ServerSession:
         with self.sub_lock:
             self.subscribers.append(sub)
 
-    def close(self):
-        """Stop the worker and release the session; only the first call acts
-        (the worker and the connection handler may both call it)."""
-        with self._close_lock:
-            if self._closed:
-                return
-            self._closed = True
-        self.stopping.set()
-        with self.sub_lock:
-            for sub in self.subscribers:
-                sub.stop()
-            self.subscribers = []
-        self.conn.close()
-        self.server.drop_session(self.session_id)
-
 
 class Server:
-    """Stream server hosting named models; one pipeline worker per session."""
+    """Stream server hosting named models: one handler thread per
+    connection, one pipeline worker per session."""
 
     def __init__(self, address, registry: dict):
         """registry maps model name -> PipelineConfig."""
         host, port = address
-        self.registry = dict(registry)
-        self.tree = core.default_tree()
-        self._predictors = {}
-        for name, config in self.registry.items():
+        self._tree = core.default_tree()
+        self._models = {}  # name -> (config, predictor); sessions share the predictor
+        for name, config in registry.items():
             # a config the pipeline rejects is refused here, not by a handler thread at HELLO
             try:
-                self._predictors[name] = pipeline.build_predictor(config, self.tree)
-                self.build_session(name)
+                predictor = pipeline.build_predictor(config, self._tree)
+                pipeline.PipelineSession(config, self._tree, predictor)
             except ValueError as e:
                 raise ValueError(f"model {name!r}: {e}") from None
-        self._sessions = {}
-        self._connections = set()  # every open client connection, HELLO or not
-        self._session_lock = threading.Lock()
-        self._closing = False
+            self._models[name] = (config, predictor)
+        self._sessions = {}  # session id -> _ServerSession, for SUBSCRIBE_RENDER
+        self._handlers = {}  # every open connection -> the handler thread that owns it
+        self._lock = threading.Lock()
         try:
             self._listener = socket.create_server((host, port))
         except OSError as e:
@@ -462,46 +456,37 @@ class Server:
         self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._accept_thread.start()
 
-    def build_session(self, model_name: str) -> pipeline.PipelineSession:
-        return pipeline.PipelineSession(
-            self.registry[model_name], self.tree, self._predictors[model_name]
-        )
-
-    def drop_session(self, session_id):
-        with self._session_lock:
-            self._sessions.pop(session_id, None)
-
     def _accept_loop(self):
-        while not self._closing:
+        while True:
             try:
                 sock, _ = self._listener.accept()
-            except OSError:
+            except OSError:  # the listener was shut down by close()
                 return
-            threading.Thread(target=self._handle, args=(sock,), daemon=True).start()
+            conn = _Connection(sock)
+            handler = threading.Thread(target=self._handle, args=(conn,), daemon=True)
+            with self._lock:
+                self._handlers[conn] = handler
+            handler.start()
 
-    def _handle(self, sock):
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _Connection(sock)
-        with self._session_lock:
-            if self._closing:
-                conn.close()
-                return
-            self._connections.add(conn)
+    def _handle(self, conn):
+        """Serve one connection until end of stream or a refusal, then end
+        what it opened; the finally is the only place a session ends."""
         session = None
-        subscriber = None
+        subscriptions = []
         env = None
 
         def refuse(code, message):  # answers the envelope being handled
             conn.send_error(code, message, env.session_id, timestamp=env.timestamp)
 
         try:
-            while not self._closing:
+            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            while True:
                 try:
-                    env = read_envelope(sock)
+                    env = read_envelope(conn.sock)
                 except (BadMagic, CrcMismatch, TruncatedFrame, UnknownKind) as e:
                     conn.send_error(ERR_PROTOCOL, str(e))
                     return
-                except OSError:  # closed under us by Server.close()
+                except OSError:  # a failed read ends the connection like end of stream
                     return
                 if env is None:
                     return
@@ -514,31 +499,31 @@ class Server:
                     except ValueError as e:
                         refuse(ERR_PROTOCOL, str(e))
                         return
-                    if model not in self.registry:
+                    if model not in self._models:
                         refuse(ERR_UNKNOWN_MODEL, f"unknown model {model!r}")
                         return
-                    session = _ServerSession(self, env.session_id, conn, model)
-                    with self._session_lock:
+                    config, predictor = self._models[model]
+                    session = _ServerSession(
+                        env.session_id, conn,
+                        pipeline.PipelineSession(config, self._tree, predictor),
+                    )
+                    with self._lock:
                         self._sessions[env.session_id] = session
                     conn.send(encode(Envelope(Kind.HELLO, env.session_id, 0, env.timestamp)))
                 elif env.kind == Kind.SUBSCRIBE_RENDER:
-                    with self._session_lock:
+                    # under the lock: a session leaves the table before it
+                    # stops its subscribers, so none joins an ended session
+                    with self._lock:
                         target = self._sessions.get(env.session_id)
+                        if target is not None:
+                            subscriptions.append(_Subscriber(conn))
+                            target.add_subscriber(subscriptions[-1])
                     if target is None:
                         refuse(ERR_PROTOCOL, "no such session")
                         return
-                    subscriber = _Subscriber(conn)
-                    target.add_subscriber(subscriber)
                     conn.send(encode(Envelope(Kind.PONG, env.session_id, 0, env.timestamp)))
                 elif env.kind == Kind.PING:
-                    conn.send(
-                        encode(
-                            Envelope(
-                                Kind.PONG, env.session_id, env.sequence, env.timestamp,
-                                env.payload,
-                            )
-                        )
-                    )
+                    conn.send(encode(dataclasses.replace(env, kind=Kind.PONG)))
                 elif env.kind in (Kind.HMD_FRAME, Kind.KEYPOINT_FRAME):
                     if session is None:
                         refuse(ERR_PROTOCOL, "HELLO first")
@@ -561,37 +546,43 @@ class Server:
                     return
         finally:
             if session is not None:
-                session.close()
-            elif subscriber is not None:
-                subscriber.stop()
-            else:
-                conn.close()
-            with self._session_lock:
-                self._connections.discard(conn)
+                session.buffer.close()
+                session.worker.join(_DRAIN_TIMEOUT)  # the frame in hand is still answered
+                with self._lock:
+                    self._sessions.pop(session.session_id, None)
+                with session.sub_lock:
+                    subscriptions += session.subscribers
+                    session.subscribers = []
+            for sub in subscriptions:
+                sub.stop()
+            with self._lock:
+                del self._handlers[conn]
+            conn.close()
 
     def session_count(self):
-        with self._session_lock:
+        with self._lock:
             return len(self._sessions)
 
     def close(self):
-        """Stop accepting, drain in-flight work, close all sessions and then
-        every remaining connection, including those that never sent HELLO."""
-        with self._session_lock:
-            self._closing = True
-            sessions = list(self._sessions.values())
+        """Stop accepting, then end every connection's reads: each handler
+        ends what its connection opened exactly as at end of stream. Returns
+        once the accept thread and every handler have finished."""
         try:
-            self._listener.close()
-        except OSError:
+            self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
+        except OSError:  # already closed
             pass
-        for s in sessions:
-            s.stopping.set()
-        for s in sessions:
-            s.worker.join(timeout=2.0)
-            s.close()
-        with self._session_lock:
-            connections = list(self._connections)
-        for conn in connections:
-            conn.close()
+        self._accept_thread.join()
+        self._listener.close()
+        with self._lock:
+            handlers = list(self._handlers.items())
+            for conn, _ in handlers:
+                conn.shutdown(socket.SHUT_RD)  # writes stay open for the frame in hand
+        deadline = time.monotonic() + _DRAIN_TIMEOUT + 1.0
+        for conn, handler in handlers:
+            handler.join(max(0.0, deadline - time.monotonic()))
+            if handler.is_alive():  # blocked writing to a peer that does not read
+                conn.shutdown()
+                handler.join()
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -96,13 +98,16 @@ def test_timestamp_skew_rejected():
 
 
 @pytest.mark.parametrize("bad", [
-    dict(t=np.nan), dict(pos=(0, np.nan, 0)), dict(v=(np.inf, 0, 0)),
-    dict(w=(0, 0, 0, 0, 0, np.nan)),
+    dict(timestamp=np.nan), dict(position=(0, np.nan, 0)), dict(linear_velocity=(np.inf, 0, 0)),
+    dict(angular_velocity=(0, 0, 0, 0, 0, np.nan)), dict(position=(np.inf, 0, 0)),
+    dict(position=(-np.inf, 0, 0)), dict(orientation=(1, 0, 0, 0, np.inf, 0)),
+    dict(orientation=(1, np.nan, 0, 0, 1, 0)), dict(timestamp=np.inf),
 ])
 @pytest.mark.parametrize("device", [0, 1, 2])
+@pytest.mark.filterwarnings("error")  # refused by name, before numpy can warn
 def test_non_finite_device_pose_rejected(bad, device):
     poses = [_pose(), _pose(), _pose()]
-    poses[device] = _pose(**bad)
+    poses[device] = dataclasses.replace(poses[device], **bad)
     with pytest.raises(NonFiniteInput):
         descriptor.build_descriptor(*poses)
 

@@ -116,6 +116,55 @@ def test_malformed_error_reply_is_a_connection_error(call):
     assert not thread.is_alive()
 
 
+# --- frame buffer and render backlog ---------------------------------------------
+
+
+def test_frame_buffer_keeps_the_newest_frame_and_counts_the_overwritten():
+    buf = net.FrameBuffer()
+    assert buf.take_latest(0.01) is None
+    for frame in ("a", "b", "c"):
+        buf.push(frame)
+    assert buf.take_latest() == "c"
+    assert buf.dropped == 2
+    buf.push("d")
+    assert buf.take_latest(0.0) == "d"
+    assert buf.dropped == 2
+
+
+def test_frame_buffer_close_wakes_a_blocked_take():
+    buf = net.FrameBuffer()
+    got = []
+    reader = threading.Thread(target=lambda: got.append(buf.take_latest()), daemon=True)
+    reader.start()
+    time.sleep(0.05)  # let the reader block in take_latest
+    assert reader.is_alive()
+    buf.close()
+    reader.join(TIMEOUT)
+    assert not reader.is_alive() and got == [None]
+    buf.push("late")
+    assert buf.take_latest() is None
+
+
+def test_render_subscriber_that_never_reads_is_dropped():
+    ours, peer = socket.socketpair()
+    ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+    peer.settimeout(TIMEOUT)
+    sub = net._Subscriber(net._Connection(ours))
+    try:
+        assert sub.offer(bytes(1 << 22))  # larger than the socket buffers: the drain blocks
+        deadline = time.perf_counter() + TIMEOUT
+        while not sub.queue.empty() and time.perf_counter() < deadline:
+            time.sleep(0.01)
+        assert all(sub.offer(b"result") for _ in range(net._SUBSCRIBER_BACKLOG))
+        assert not sub.offer(b"result")
+        assert not sub.alive
+        while peer.recv(1 << 16):  # what was sent, then end of stream
+            pass
+    finally:
+        ours.close()
+        peer.close()
+
+
 # --- transport ------------------------------------------------------------------
 
 
@@ -123,8 +172,8 @@ def test_both_ends_set_tcp_nodelay(server):
     client = _client(server)
     try:
         client.hello(MODEL)
-        with server._session_lock:
-            (conn,) = server._connections
+        with server._lock:
+            (conn,) = server._handlers
         for sock in (client.sock, conn.sock):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
     finally:
@@ -226,7 +275,7 @@ def test_close_is_safe_to_repeat(server):
         client.close()
 
 
-def test_pipeline_error_closes_only_its_session(server, walk):
+def test_pipeline_error_refuses_only_its_frame(server, walk):
     good, bad = _client(server), _client(server)
     try:
         good.hello(MODEL)
@@ -237,55 +286,100 @@ def test_pipeline_error_closes_only_its_session(server, walk):
         # a new sequence number with the previous head timestamp passes the
         # wire checks but is a stale frame for the pipeline
         bad.send_hmd(f, walk.left[0], walk.right[0])
-        assert _error_code(bad) == net.ERR_PIPELINE
+        env = bad.recv()
+        assert env.kind == net.Kind.ERROR
+        assert net.decode_error_payload(env.payload)[0] == net.ERR_PIPELINE
+        assert env.sequence == 1 and env.timestamp == f.timestamp
+        # the session that refused the frame serves the next one
+        bad.send_hmd(walk.head[1], walk.left[1], walk.right[1])
+        env = bad.recv()
+        assert env.kind == net.Kind.POSE_RESULT and env.sequence == 1
         good.send_hmd(walk.head[1], walk.left[1], walk.right[1])
         assert good.recv().kind == net.Kind.POSE_RESULT
-        deadline = time.perf_counter() + TIMEOUT
-        while server.session_count() != 1 and time.perf_counter() < deadline:
-            time.sleep(0.01)
-        assert server.session_count() == 1
+        assert server.session_count() == 2
     finally:
         good.close()
         bad.close()
 
 
-def test_concurrent_close_acts_once():
-    """Worker, handler and server may all close one session at once; the
-    session is released exactly once."""
+def _read_to_end(sock):
+    """Read envelopes until end of stream; fails on a read timeout."""
+    while net.read_envelope(sock) is not None:
+        pass
 
-    class CountingServer:
-        drops = 0
 
-        def build_session(self, model_name):
-            return pipeline.PipelineSession(REGISTRY[model_name])
-
-        def drop_session(self, session_id):
-            self.drops += 1
-
+def test_close_leaves_no_server_thread(walk):
+    """Concurrent close() calls each return once every connection is ended
+    and every thread the server started has finished, also with threads
+    switched as often as the interpreter allows."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        for _ in range(20):
-            owner = CountingServer()
-            a, b = socket.socketpair()
-            session = net._ServerSession(owner, bytes(16), net._Connection(a), MODEL)
-            start = threading.Barrier(8)
-
-            def close():
-                start.wait(TIMEOUT)
-                session.close()
-
-            threads = [threading.Thread(target=close) for _ in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(TIMEOUT)
-            session.worker.join(TIMEOUT)
-            b.close()
-            assert not any(t.is_alive() for t in threads) and not session.worker.is_alive()
-            assert owner.drops == 1
+        for _ in range(5):
+            _close_concurrently(walk)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _close_concurrently(walk):
+    """One input session with a frame in flight, one render subscriber and
+    one connection before HELLO; then eight close() calls at once."""
+    before = set(threading.enumerate())
+    srv = net.Server(("127.0.0.1", 0), REGISTRY)
+    client, render = _client(srv), _client(srv)
+    idle = socket.create_connection(srv.address, timeout=TIMEOUT)
+    try:
+        client.hello(MODEL)
+        render.subscribe(client.session_id)
+        client.send_hmd(walk.head[0], walk.left[0], walk.right[0])  # not waited for
+        start = threading.Barrier(8)
+        returned = []
+
+        def close():
+            start.wait(TIMEOUT)
+            t0 = time.perf_counter()
+            srv.close()
+            returned.append(time.perf_counter() - t0)
+
+        threads = [threading.Thread(target=close, daemon=True) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(TIMEOUT)
+        assert len(returned) == 8 and max(returned) < 1.0
+        assert srv.session_count() == 0
+        for sock in (client.sock, render.sock, idle):
+            _read_to_end(sock)
+        assert [t for t in threading.enumerate() if t not in before and t not in threads] == []
+    finally:
+        client.close()
+        render.close()
+        idle.close()
+        srv.close()
+
+
+def test_close_ends_a_connection_whose_peer_does_not_read():
+    """A handler blocked writing to a peer that never reads is ended too,
+    once the grace period for the frame in hand has passed."""
+    before = set(threading.enumerate())
+    srv = net.Server(("127.0.0.1", 0), REGISTRY)
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(TIMEOUT)
+    closer = threading.Thread(target=srv.close, daemon=True)
+    try:
+        sock.connect(srv.address)
+        # the PONG echoing this payload outgrows the socket buffers
+        sock.sendall(net.encode(net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(8 << 20))))
+        time.sleep(0.2)  # let the handler read the PING and block writing the PONG
+        t0 = time.perf_counter()
+        closer.start()
+        closer.join(net._DRAIN_TIMEOUT + 3.0)
+        assert not closer.is_alive()
+        assert time.perf_counter() - t0 >= net._DRAIN_TIMEOUT
+        assert [t for t in threading.enumerate() if t not in before and t is not closer] == []
+    finally:
+        sock.close()
 
 
 # --- refusals -------------------------------------------------------------------
