@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import core, replayfile
+from . import core
 from .errors import NonFiniteInput, NonMonotonicTime, StaleFrame, TimestampSkew
 
 DESCRIPTOR_DIM = 72
@@ -108,51 +108,3 @@ def push_frame(window: DescriptorWindow, descriptor, timestamp: float):
         window.frames[-1] = d
     window.end_timestamp = timestamp
 
-
-# ---------------------------------------------------------------------------
-# Motion replay files (see replayfile). Extra keys on frame records (e.g.
-# ground-truth pose annotations written by the synthetic generator) are
-# preserved for other readers.
-
-MOTION_FORMAT = "epvr-motion"
-
-
-def _pose_to_record(pose: core.DevicePose):
-    return {
-        "p": [float(v) for v in pose.position],
-        "r6": [float(v) for v in pose.orientation],
-        "v": [float(v) for v in pose.linear_velocity],
-        "w6": [float(v) for v in pose.angular_velocity],
-    }
-
-
-def _pose_from_record(t, rec):
-    return core.DevicePose(t, rec["p"], rec["r6"], rec["v"], rec["w6"])
-
-
-def motion_record(head, left, right, extra=None) -> dict:
-    """One motion file frame record; extra keys are merged in."""
-    rec = {
-        "t": float(head.timestamp),
-        "head": _pose_to_record(head),
-        "left": _pose_to_record(left),
-        "right": _pose_to_record(right),
-    }
-    if extra:
-        rec.update(extra)
-    return rec
-
-
-def _motion_frame(rec):
-    t = rec["t"]
-    return (
-        _pose_from_record(t, rec["head"]),
-        _pose_from_record(t, rec["left"]),
-        _pose_from_record(t, rec["right"]),
-        rec,
-    )
-
-
-def read_motion_file(path):
-    """Load every frame: list of (head, left, right, raw_record) tuples."""
-    return replayfile.read_replay(path, MOTION_FORMAT, _motion_frame)

@@ -198,8 +198,6 @@ class SyntheticSequence:
     poses: list
     positions: np.ndarray
     keypoints_cam: np.ndarray
-    projections: np.ndarray
-    depths: np.ndarray
     visibility: np.ndarray
     rate: float
     tree: core.KinematicTree = field(repr=False, default=None)
@@ -330,19 +328,14 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
             seq[i] = descriptor.derive_velocities(seq[i - 1], seq[i])
 
     keypoints_cam = np.empty_like(positions)
-    projections = np.empty((frame_count, n, 2))
-    depths = np.empty((frame_count, n))
     visibility = np.empty((frame_count, n), dtype=bool)
     for i in range(frame_count):
         keypoints_cam[i] = world_to_camera(positions[i], head_poses[i], camera)
-        projections[i], depths[i], visibility[i] = project_joints(
-            positions[i], head_poses[i], camera
-        )
+        _, _, visibility[i] = project_joints(positions[i], head_poses[i], camera)
 
     return SyntheticSequence(
         timestamps=timestamps, head=head_poses, left=left_poses, right=right_poses,
-        poses=poses, positions=positions, keypoints_cam=keypoints_cam,
-        projections=projections, depths=depths, visibility=visibility,
+        poses=poses, positions=positions, keypoints_cam=keypoints_cam, visibility=visibility,
         rate=rate, tree=tree, camera=camera,
     )
 

@@ -503,12 +503,17 @@ class Server:
                         refuse(ERR_UNKNOWN_MODEL, f"unknown model {model!r}")
                         return
                     config, predictor = self._models[model]
-                    session = _ServerSession(
-                        env.session_id, conn,
-                        pipeline.PipelineSession(config, self._tree, predictor),
-                    )
+                    # one step under the lock: two HELLOs cannot both take an id
                     with self._lock:
-                        self._sessions[env.session_id] = session
+                        if env.session_id not in self._sessions:
+                            session = _ServerSession(
+                                env.session_id, conn,
+                                pipeline.PipelineSession(config, self._tree, predictor),
+                            )
+                            self._sessions[env.session_id] = session
+                    if session is None:
+                        refuse(ERR_PROTOCOL, "session id already open")
+                        return
                     conn.send(encode(Envelope(Kind.HELLO, env.session_id, 0, env.timestamp)))
                 elif env.kind == Kind.SUBSCRIBE_RENDER:
                     # under the lock: a session leaves the table before it

@@ -107,17 +107,6 @@ class NeuralPredictor:
         return neural.decode_pose(m, self.fusion_w, self.net_cfg.joints)
 
 
-def _gt_from_record(rec):
-    """Ground-truth (rotations (J, 6), positions (J, 3)) annotated on a motion
-    file record, or None."""
-    if "gt" not in rec:
-        return None
-    gt = rec["gt"]
-    rots = np.array(gt["r6"], dtype=np.float64).reshape(-1, 6)
-    pos = np.array(gt["p"], dtype=np.float64).reshape(-1, 3)
-    return rots, pos
-
-
 class ReplayPredictor:
     """Ground-truth rotations looked up by timestamp from an annotated file."""
 
@@ -129,13 +118,10 @@ class ReplayPredictor:
 
     @staticmethod
     def from_motion_file(path):
-        records = []
-        for head, _, _, rec in descriptor.read_motion_file(path):
-            gt = _gt_from_record(rec)
-            if gt is not None:
-                rots = gt[0]
-                records.append((head.timestamp, core.FullBodyPose(rots[0], rots[1:])))
-        return ReplayPredictor(records)
+        return ReplayPredictor([
+            (head.timestamp, core.FullBodyPose(gt[0][0], gt[0][1:]))
+            for head, _, _, gt in replayfile.read_motion_file(path) if gt is not None
+        ])
 
     def predict(self, window: descriptor.DescriptorWindow, keypoints):
         t = window.end_timestamp
@@ -287,10 +273,10 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig) -> ReplayRepo
     Ground truth comes from the gt annotations in the motion file; the
     keypoint file is optional when the keypoint stage is disabled.
     """
-    frames = descriptor.read_motion_file(motion_path)
+    frames = replayfile.read_motion_file(motion_path)
     kp_frames = None
     if keypoint_path:
-        kp_frames = refine.read_keypoint_file(keypoint_path)
+        kp_frames = replayfile.read_keypoint_file(keypoint_path)
         if len(kp_frames) != len(frames):
             raise FrameCountMismatch(
                 f"{len(frames)} motion frames vs {len(kp_frames)} keypoint frames"
@@ -298,10 +284,9 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig) -> ReplayRepo
     session = PipelineSession(config)
 
     upper, lower = evalmod.body_halves(session.tree)
-    per_frame = {"mpjpe": [], "mpjpe_u": [], "mpjpe_l": [], "pa_mpjpe": [], "mpjre": []}
     results = []
     t_wall = time.perf_counter()
-    for i, (head, left, right, rec) in enumerate(frames):
+    for i, (head, left, right, _) in enumerate(frames):
         kp = None
         if kp_frames is not None and config.use_keypoints:
             _, z, zeta = kp_frames[i]
@@ -310,47 +295,34 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig) -> ReplayRepo
     wall = time.perf_counter() - t_wall
     fps = len(frames) / wall if wall > 0 else float("inf")
 
-    have_gt = True
-    for (head, left, right, rec), res in zip(frames, results):
-        gt = _gt_from_record(rec)
-        if gt is None:
-            have_gt = False
-            break
-        gt_rots, gt_pos = gt
+    if any(gt is None for *_, gt in frames):
+        return ReplayReport(len(frames), fps, {}, {})
+    per_frame = {"mpjpe": [], "mpjpe_u": [], "mpjpe_l": [], "pa_mpjpe": [], "mpjre": []}
+    for (*_, (gt_rots, gt_pos)), res in zip(frames, results):
         pred_pos = res.pose.positions
         per_frame["mpjpe"].append(evalmod.mpjpe(pred_pos, gt_pos))
         per_frame["mpjpe_u"].append(evalmod.mpjpe(pred_pos, gt_pos, upper))
         per_frame["mpjpe_l"].append(evalmod.mpjpe(pred_pos, gt_pos, lower))
         per_frame["pa_mpjpe"].append(evalmod.pa_mpjpe(pred_pos, gt_pos))
         per_frame["mpjre"].append(evalmod.mpjre(res.pose.stacked_rotations(), gt_rots))
-
-    metrics = {}
-    if have_gt:
-        per_frame = {k: np.array(v) for k, v in per_frame.items()}
-        metrics = {k: evalmod.summarize(v) for k, v in per_frame.items()}
-    else:
-        per_frame = {}
+    per_frame = {k: np.array(v) for k, v in per_frame.items()}
+    metrics = {k: evalmod.summarize(v) for k, v in per_frame.items()}
     return ReplayReport(len(frames), fps, metrics, per_frame)
 
 
 def write_sequence_files(seq: evalmod.SyntheticSequence, motion_path, keypoint_path,
                          noise_sigma: float = 0.0, noise_seed: int = 0):
     """Serialize a synthetic sequence to replay files with gt annotations."""
-    with replayfile.ReplayWriter(motion_path, descriptor.MOTION_FORMAT) as mw:
-        for i in range(seq.frame_count):
-            rots = seq.poses[i].stacked_rotations()
-            gt = {
-                "gt": {
-                    "r6": [[float(v) for v in row] for row in rots],
-                    "p": [[float(v) for v in row] for row in seq.positions[i]],
-                }
-            }
-            mw.write(descriptor.motion_record(seq.head[i], seq.left[i], seq.right[i], extra=gt))
+    replayfile.write_replay(motion_path, replayfile.MOTION_FORMAT, (
+        replayfile.motion_record(seq.head[i], seq.left[i], seq.right[i],
+                                 gt=(seq.poses[i].stacked_rotations(), seq.positions[i]))
+        for i in range(seq.frame_count)
+    ))
     if keypoint_path:
         if noise_sigma > 0.0:
             z, zeta = evalmod.noisy_keypoints(seq, noise_sigma, noise_seed)
         else:
             z, zeta = evalmod.clean_keypoints(seq)
-        with replayfile.ReplayWriter(keypoint_path, refine.KEYPOINT_FORMAT) as kw:
-            for i in range(seq.frame_count):
-                kw.write(refine.keypoint_record(seq.timestamps[i], z[i], zeta[i]))
+        replayfile.write_replay(keypoint_path, replayfile.KEYPOINT_FORMAT, (
+            replayfile.keypoint_record(t, z[i], zeta[i]) for i, t in enumerate(seq.timestamps)
+        ))

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import replayfile
 from .errors import ShapeError
 from .filtering import DEFAULT_BETA, DEFAULT_D_CUTOFF, DEFAULT_MIN_CUTOFF, VectorFilterBank
 
@@ -97,30 +96,3 @@ def refine_normalized(stream: KeypointStream, t: float, keypoints=None):
     """Normalized-mask step: fully visible joints pass unattenuated."""
     return stream._step(t, keypoints, normalized=True)
 
-
-# ---------------------------------------------------------------------------
-# Keypoint replay files (see replayfile).
-
-KEYPOINT_FORMAT = "epvr-keypoints"
-
-
-def keypoint_record(t, positions, visibility) -> dict:
-    """One keypoint file frame record: positions (J, 3), visibility (J,)."""
-    return {
-        "t": float(t),
-        "Z": [[float(v) for v in row] for row in np.asarray(positions)],
-        "zeta": [float(v) for v in np.asarray(visibility)],
-    }
-
-
-def _keypoint_frame(rec):
-    return (
-        float(rec["t"]),
-        np.array(rec["Z"], dtype=np.float64),
-        np.array(rec["zeta"], dtype=np.float64),
-    )
-
-
-def read_keypoint_file(path):
-    """Load every frame: list of (t, positions (J,3), visibility (J,)) tuples."""
-    return replayfile.read_replay(path, KEYPOINT_FORMAT, _keypoint_frame)

@@ -1,16 +1,24 @@
 """Replay files: a self-describing JSON header line, then one JSON record
-per frame.
+per frame; docs/replay.md gives both formats.
 
-Motion files (`descriptor`) and keypoint files (`refine`) share this
-container and differ only in the header's format name and in what a frame
-record holds.
+Motion files (device poses, optionally with the ground-truth pose) and
+keypoint files share this container. This is the only module that knows a
+record key: writers take typed values and readers return them.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
+import numpy as np
+
+from . import core
 from .errors import FileFormat
+
+MOTION_FORMAT = "epvr-motion"
+KEYPOINT_FORMAT = "epvr-keypoints"
+_DEVICES = ("head", "left", "right")
 
 
 def header(fmt: str) -> dict:
@@ -22,24 +30,12 @@ def header(fmt: str) -> dict:
     }
 
 
-class ReplayWriter:
-    """Writes the header for fmt, then one line per write(record)."""
-
-    def __init__(self, path, fmt: str):
-        self._fh = open(path, "w")
-        self.write(header(fmt))
-
-    def write(self, record: dict):
-        self._fh.write(json.dumps(record) + "\n")
-
-    def close(self):
-        self._fh.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
+def write_replay(path, fmt: str, records):
+    """Write the header for fmt, then one line per record."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(header(fmt)) + "\n")
+        for rec in records:
+            fh.write(json.dumps(rec) + "\n")
 
 
 def read_replay(path, fmt: str, parse):
@@ -65,3 +61,55 @@ def read_replay(path, fmt: str, parse):
             except (KeyError, TypeError, ValueError) as e:
                 raise FileFormat(f"{path}:{lineno}: bad frame record ({e})") from None
     return frames
+
+
+def _floats(values):
+    return np.asarray(values, dtype=np.float64).tolist()
+
+
+def _time(rec) -> float:
+    t = rec["t"]
+    if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+        raise ValueError(f"t must be a finite number, not {t!r}")
+    return float(t)
+
+
+def motion_record(head, left, right, gt=None) -> dict:
+    """One motion file frame record; gt is the ground-truth pose
+    (rotations (J, 6), positions (J, 3)) or None."""
+    rec = {"t": float(head.timestamp)}
+    for name, pose in zip(_DEVICES, (head, left, right)):
+        rec[name] = {"p": _floats(pose.position), "r6": _floats(pose.orientation),
+                     "v": _floats(pose.linear_velocity), "w6": _floats(pose.angular_velocity)}
+    if gt is not None:
+        rec["gt"] = {"r6": _floats(gt[0]), "p": _floats(gt[1])}
+    return rec
+
+
+def read_motion_file(path):
+    """Load every frame: list of (head, left, right, gt) tuples; gt is
+    (rotations (J, 6), positions (J, 3)), or None for a record without one."""
+
+    def frame(rec):
+        t = _time(rec)
+        poses = [core.DevicePose(t, d["p"], d["r6"], d["v"], d["w6"])
+                 for d in (rec[name] for name in _DEVICES)]
+        gt = None
+        if "gt" in rec:
+            gt = (np.array(rec["gt"]["r6"], dtype=np.float64).reshape(-1, 6),
+                  np.array(rec["gt"]["p"], dtype=np.float64).reshape(-1, 3))
+        return (*poses, gt)
+
+    return read_replay(path, MOTION_FORMAT, frame)
+
+
+def keypoint_record(t, positions, visibility) -> dict:
+    """One keypoint file frame record: positions (J, 3), visibility (J,)."""
+    return {"t": float(t), "Z": _floats(positions), "zeta": _floats(visibility)}
+
+
+def read_keypoint_file(path):
+    """Load every frame: list of (t, positions (J, 3), visibility (J,)) tuples."""
+    return read_replay(path, KEYPOINT_FORMAT, lambda rec: (
+        _time(rec), np.array(rec["Z"], dtype=np.float64), np.array(rec["zeta"], dtype=np.float64)
+    ))

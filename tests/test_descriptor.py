@@ -206,32 +206,33 @@ def test_motion_file_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     path = tmp_path / "motion.jsonl"
     poses = []
-    with replayfile.ReplayWriter(path, descriptor.MOTION_FORMAT) as writer:
-        for i in range(5):
-            frame = tuple(
-                _pose(t=i / 60, pos=rng.standard_normal(3), rot=oracles.random_rotation(rng),
-                      v=rng.standard_normal(3), w=rng.standard_normal(6))
-                for _ in range(3)
-            )
-            poses.append(frame)
-            writer.write(descriptor.motion_record(*frame, extra={"note": i}))
-    frames = descriptor.read_motion_file(path)
+    for i in range(5):
+        poses.append(tuple(
+            _pose(t=i / 60, pos=rng.standard_normal(3), rot=oracles.random_rotation(rng),
+                  v=rng.standard_normal(3), w=rng.standard_normal(6))
+            for _ in range(3)
+        ))
+    gts = [(rng.standard_normal((4, 6)), rng.standard_normal((4, 3))) for _ in poses]
+    replayfile.write_replay(path, replayfile.MOTION_FORMAT, (
+        replayfile.motion_record(*frame, gt=gt) for frame, gt in zip(poses, gts)
+    ))
+    frames = replayfile.read_motion_file(path)
     assert len(frames) == 5
-    for (head, left, right, rec), want in zip(frames, poses):
+    for (head, left, right, gt), want, want_gt in zip(frames, poses, gts):
         for got, exp in ((head, want[0]), (left, want[1]), (right, want[2])):
             assert got.timestamp == want[0].timestamp
             assert np.array_equal(got.position, exp.position)
             assert np.array_equal(got.orientation, exp.orientation)
             assert np.array_equal(got.linear_velocity, exp.linear_velocity)
             assert np.array_equal(got.angular_velocity, exp.angular_velocity)
-        assert "note" in rec
+        assert np.array_equal(gt[0], want_gt[0]) and np.array_equal(gt[1], want_gt[1])
 
 
 def test_motion_file_rejects_garbage(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text("not json\n")
     with pytest.raises(FileFormat):
-        descriptor.read_motion_file(path)
+        replayfile.read_motion_file(path)
     path.write_text('{"format": "something-else"}\n')
     with pytest.raises(FileFormat):
-        descriptor.read_motion_file(path)
+        replayfile.read_motion_file(path)

@@ -220,16 +220,16 @@ def test_generated_bones_stay_rigid(kind):
 
 def test_generated_projections_are_self_consistent():
     seq = evalmod.generate_sequence("squat", 1.0, 30.0, seed=3)
+    cam = seq.camera
     for i in range(seq.frame_count):
-        uv, depth, visible = evalmod.project_joints(
-            seq.positions[i], seq.head[i], seq.camera
-        )
-        assert np.max(np.abs(uv - seq.projections[i])) < 1e-6
+        uv, depth, visible = evalmod.project_joints(seq.positions[i], seq.head[i], cam)
         assert np.array_equal(visible, seq.visibility[i])
-        # camera-frame keypoints reproject to the stored pixels as well
+        # the camera-frame keypoints project to the same pixels and depths
         z = seq.keypoints_cam[i]
-        u = seq.camera.fx * z[:, 0] / z[:, 2] + seq.camera.cx
-        assert np.max(np.abs(u - seq.projections[i][:, 0])) < 1e-6
+        assert np.max(np.abs(depth - z[:, 2])) < 1e-12
+        pinhole = np.stack([cam.fx * z[:, 0] / z[:, 2] + cam.cx,
+                            cam.fy * z[:, 1] / z[:, 2] + cam.cy], axis=1)
+        assert np.max(np.abs(uv - pinhole)) < 1e-6
 
 
 def test_device_poses_sit_on_their_joints():

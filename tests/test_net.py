@@ -404,6 +404,24 @@ def test_second_hello_is_refused(server):
         client.close()
 
 
+def test_hello_with_an_open_session_id_is_refused(server, walk):
+    first, second, render = _client(server), _client(server), _client(server)
+    try:
+        first.hello(MODEL)
+        _send(second, net.Kind.HELLO, 0, net.encode_hello(MODEL), session_id=first.session_id)
+        assert _error_code(second) == net.ERR_PROTOCOL
+        assert server.session_count() == 1
+        # the session that holds the id still serves and can be watched
+        render.subscribe(first.session_id)
+        first.send_hmd(walk.head[0], walk.left[0], walk.right[0])
+        assert first.recv().kind == net.Kind.POSE_RESULT
+        assert render.recv().kind == net.Kind.POSE_RESULT
+    finally:
+        first.close()
+        second.close()
+        render.close()
+
+
 def test_unknown_model_is_refused(server):
     client = _client(server)
     try:
@@ -419,6 +437,8 @@ def test_non_increasing_sequence_is_refused(server, walk):
         client.hello(MODEL)
         payload = net.encode_hmd_payload(walk.head[0], walk.left[0], walk.right[0])
         _send(client, net.Kind.HMD_FRAME, 5, payload)
+        # the result of a frame in hand may follow an ERROR, so read it first
+        assert client.recv().kind == net.Kind.POSE_RESULT
         _send(client, net.Kind.HMD_FRAME, 5, payload)
         assert _error_code(client) == net.ERR_PROTOCOL
     finally:

@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from epvr import cli, core, eval as evalmod, kpo, neural, pipeline
+from epvr import cli, core, eval as evalmod, kpo, neural, pipeline, replayfile
 from epvr.errors import NonFiniteInput, ShapeError
 from epvr.filtering import VectorFilterBank
 
@@ -183,11 +183,18 @@ def test_kpo_pulls_each_observed_joint_toward_its_own_device(joint, device, othe
     assert follow[joint] > 10.0 * follow[tracked[other]]
 
 
-def test_ground_truth_record_takes_its_joint_count_from_the_data():
-    rec = {"gt": {"r6": [[1, 0, 0, 0, 1, 0]] * 3, "p": [[0.0, float(i), 0.0] for i in range(3)]}}
-    rots, pos = pipeline._gt_from_record(rec)
+def test_ground_truth_record_takes_its_joint_count_from_the_data(tmp_path):
+    seq, _, _ = _walk(2)
+    devices = seq.head[0], seq.left[0], seq.right[0]
+    gt = ([[1, 0, 0, 0, 1, 0]] * 3, [[0.0, float(i), 0.0] for i in range(3)])
+    path = tmp_path / "motion.jsonl"
+    replayfile.write_replay(path, replayfile.MOTION_FORMAT, [
+        replayfile.motion_record(*devices, gt=gt), replayfile.motion_record(*devices)
+    ])
+    (*_, (rots, pos)), (*_, missing) = replayfile.read_motion_file(path)
     assert rots.shape == (3, 6) and pos.shape == (3, 3)
-    assert pipeline._gt_from_record({}) is None
+    assert np.array_equal(rots, gt[0]) and np.array_equal(pos, gt[1])
+    assert missing is None
 
 
 def _chain_tree():

@@ -196,10 +196,9 @@ def test_keypoint_file_round_trip(tmp_path):
     rng = np.random.default_rng(42)
     path = tmp_path / "kp.jsonl"
     rows = [(i / 30, rng.standard_normal((4, 3)), rng.uniform(0, 1, 4)) for i in range(6)]
-    with replayfile.ReplayWriter(path, refine.KEYPOINT_FORMAT) as writer:
-        for t, z, zeta in rows:
-            writer.write(refine.keypoint_record(t, z, zeta))
-    frames = refine.read_keypoint_file(path)
+    replayfile.write_replay(path, replayfile.KEYPOINT_FORMAT,
+                            (replayfile.keypoint_record(*row) for row in rows))
+    frames = replayfile.read_keypoint_file(path)
     assert len(frames) == 6
     for (t, z, zeta), (wt, wz, wzeta) in zip(frames, rows):
         assert t == wt
@@ -211,4 +210,4 @@ def test_keypoint_file_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"format": "epvr-motion"}\n')
     with pytest.raises(FileFormat):
-        refine.read_keypoint_file(path)
+        replayfile.read_keypoint_file(path)

@@ -1,14 +1,23 @@
 import json
 
+import numpy as np
 import pytest
 
-from epvr import descriptor, refine, replayfile
+from epvr import core, eval as evalmod, pipeline, replayfile
 from epvr.errors import FileFormat
 
 READERS = [
-    (descriptor.MOTION_FORMAT, descriptor.read_motion_file),
-    (refine.KEYPOINT_FORMAT, refine.read_keypoint_file),
+    (replayfile.MOTION_FORMAT, replayfile.read_motion_file),
+    (replayfile.KEYPOINT_FORMAT, replayfile.read_keypoint_file),
 ]
+
+_DEVICE = core.DevicePose(0.0, [0, 0, 0], core.IDENTITY_6D)
+# one well-formed record per format, for the records that differ from it only in "t"
+GOOD = {
+    replayfile.MOTION_FORMAT: replayfile.motion_record(_DEVICE, _DEVICE, _DEVICE),
+    replayfile.KEYPOINT_FORMAT: replayfile.keypoint_record(0.0, [[0.0, 0.0, 1.0]], [1.0]),
+}
+BAD_T = ["0.5", None, True, float("nan"), float("inf")]
 
 
 def _write(path, lines):
@@ -18,8 +27,7 @@ def _write(path, lines):
 @pytest.mark.parametrize("fmt, read", READERS)
 def test_header_names_the_format(tmp_path, fmt, read):
     path = tmp_path / "empty.jsonl"
-    with replayfile.ReplayWriter(path, fmt):
-        pass
+    replayfile.write_replay(path, fmt, [])
     doc = json.loads(path.read_text())
     assert doc == replayfile.header(fmt) and doc["format"] == fmt
     assert read(path) == []
@@ -36,9 +44,38 @@ def test_other_format_is_rejected(tmp_path, fmt, read):
 
 
 @pytest.mark.parametrize("fmt, read", READERS)
-@pytest.mark.parametrize("bad", ["not json", "{}", "[1]", '{"t": 0.0, "Z": "x", "zeta": [1]}'])
+@pytest.mark.parametrize("bad", ["not json", "{}", "[1]", '{"t": 0.0, "Z": "x", "zeta": [1]}']
+                         + [{"t": t} for t in BAD_T])
 def test_bad_record_names_its_line(tmp_path, fmt, read, bad):
+    why = ""
+    if isinstance(bad, dict):  # the format's good record with a bad "t"
+        bad, why = json.dumps({**GOOD[fmt], **bad}), r" \(t must be a finite number"
     path = tmp_path / "bad.jsonl"
     _write(path, [json.dumps(replayfile.header(fmt)), "", bad])
-    with pytest.raises(FileFormat, match=rf"bad\.jsonl:3: bad frame record"):
+    with pytest.raises(FileFormat, match=rf"bad\.jsonl:3: bad frame record{why}"):
         read(path)
+
+
+def test_synthetic_sequence_comes_back_exactly(tmp_path):
+    seq = evalmod.generate_sequence("walk", 0.5, 30.0, seed=5)
+    motion, keypoints = tmp_path / "s.motion.jsonl", tmp_path / "s.keypoints.jsonl"
+    pipeline.write_sequence_files(seq, motion, keypoints, noise_sigma=0.01, noise_seed=5)
+    z, zeta = evalmod.noisy_keypoints(seq, 0.01, 5)
+
+    frames = replayfile.read_motion_file(motion)
+    assert len(frames) == seq.frame_count
+    for i, (head, left, right, (rots, pos)) in enumerate(frames):
+        for got, want in ((head, seq.head[i]), (left, seq.left[i]), (right, seq.right[i])):
+            assert got.timestamp == want.timestamp
+            assert np.array_equal(got.position, want.position)
+            assert np.array_equal(got.orientation, want.orientation)
+            assert np.array_equal(got.linear_velocity, want.linear_velocity)
+            assert np.array_equal(got.angular_velocity, want.angular_velocity)
+        assert np.array_equal(rots, seq.poses[i].stacked_rotations())
+        assert np.array_equal(pos, seq.positions[i])
+
+    kp_frames = replayfile.read_keypoint_file(keypoints)
+    assert len(kp_frames) == seq.frame_count
+    for i, (t, got_z, got_zeta) in enumerate(kp_frames):
+        assert t == seq.timestamps[i]
+        assert np.array_equal(got_z, z[i]) and np.array_equal(got_zeta, zeta[i])
