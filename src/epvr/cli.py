@@ -27,7 +27,15 @@ def _load_config(path) -> pipeline.PipelineConfig:
         return pipeline.PipelineConfig.from_dict(json.load(fh))
 
 
-ABLATABLE = ("keypoints", "fusion", "refine", "filter", "kpo")
+_ABLATIONS = {  # stage -> the config toggles that switch it off
+    "keypoints": {"use_keypoints": False, "use_fusion": False},
+    "fusion": {"use_fusion": False},
+    # no raw-keypoint path exists yet, so this drops the keypoint stream
+    "refine": {"use_keypoints": False, "use_fusion": False},
+    "filter": {"use_filter": False},
+    "kpo": {"use_kpo": False},
+}
+ABLATABLE = tuple(_ABLATIONS)
 
 
 def apply_ablation(config: pipeline.PipelineConfig, stages) -> pipeline.PipelineConfig:
@@ -37,17 +45,7 @@ def apply_ablation(config: pipeline.PipelineConfig, stages) -> pipeline.Pipeline
     for stage in stages:
         if stage not in ABLATABLE:
             raise ValueError(f"unknown stage {stage!r}; choose from {ABLATABLE}")
-        if stage == "keypoints":
-            changes.update(use_keypoints=False, use_fusion=False)
-        elif stage == "fusion":
-            changes["use_fusion"] = False
-        elif stage == "refine":
-            # no raw-keypoint path exists yet, so this drops the keypoint stream
-            changes.update(use_keypoints=False, use_fusion=False)
-        elif stage == "filter":
-            changes["use_filter"] = False
-        elif stage == "kpo":
-            changes["use_kpo"] = False
+        changes.update(_ABLATIONS[stage])
     return dataclasses.replace(config, **changes)
 
 
@@ -119,9 +117,11 @@ def cmd_replay(args) -> int:
 
 
 def _bench_once(config, frames, seq):
+    """fps, mean µs per stage, and each frame's KPO iterations (none if KPO is off)."""
     session = pipeline.PipelineSession(config)
     kp = None
     stage_totals = dict.fromkeys(pipeline.STAGES, 0.0)
+    iterations = []
     n = seq.frame_count
     t0 = time.perf_counter()
     for i in range(frames):
@@ -136,8 +136,10 @@ def _bench_once(config, frames, seq):
         result = session.process_frame(head, left, right, kp)
         for stage in pipeline.STAGES:
             stage_totals[stage] += result.latencies[stage]
+        if result.kpo is not None:
+            iterations.append(result.kpo.iterations)
     wall = time.perf_counter() - t0
-    return frames / wall, {k: v / frames for k, v in stage_totals.items()}
+    return frames / wall, {k: v / frames for k, v in stage_totals.items()}, iterations
 
 
 def _positive_int(text: str) -> int:
@@ -155,20 +157,26 @@ def cmd_bench(args) -> int:
               file=sys.stderr)
         return 2
     runs = [_bench_once(config, args.frames, seq) for _ in range(args.runs)]
-    fps_runs = [fps for fps, _ in runs]
-    stage_means = {stage: sum(stages[stage] for _, stages in runs) / args.runs
+    fps_runs = [fps for fps, _, _ in runs]
+    stage_means = {stage: sum(stages[stage] for _, stages, _ in runs) / args.runs
                    for stage in pipeline.STAGES}
+    its = np.concatenate([run[2] for run in runs])  # KPO iterations of every frame
+    kpo = {"iterations": float(np.mean(its)), "cap_share": float(np.mean(
+        its >= config.kpo.max_iterations))} if config.use_kpo else None
     mean, std = evalmod.summarize(fps_runs)
     if args.json:
         print(json.dumps({
             "frames": args.frames,
             "fps": {"runs": fps_runs, "mean": mean, "std": std},
             "stage_us": {stage: stage_means[stage] for stage in pipeline.STAGES},
+            "kpo": kpo,
         }, indent=2))
         return 0
     print(f"fps {mean:.1f} ± {std:.1f}  ({args.runs} runs x {args.frames} frames)")
     for stage in pipeline.STAGES:
         print(f"stage.{stage}_us {stage_means[stage]:.1f}")
+    if kpo:
+        print(f"kpo.iterations {kpo['iterations']:.2f}\nkpo.cap_share {kpo['cap_share']:.3f}")
     return 0
 
 

@@ -111,14 +111,13 @@ class DevicePose:
     angular_velocity: np.ndarray = field(default_factory=lambda: np.zeros(6))
 
     def __post_init__(self):
-        object.__setattr__(self, "position", _freeze(self.position, 3))
-        object.__setattr__(self, "orientation", _freeze(self.orientation, 6))
-        object.__setattr__(self, "linear_velocity", _freeze(self.linear_velocity, 3))
-        object.__setattr__(self, "angular_velocity", _freeze(self.angular_velocity, 6))
+        for name, size in (("position", 3), ("orientation", 6),
+                           ("linear_velocity", 3), ("angular_velocity", 6)):
+            object.__setattr__(self, name, _freeze(getattr(self, name), size))
 
 
-def _freeze(values, length):
-    arr = np.array(values, dtype=np.float64).reshape(length)
+def _freeze(values, shape):
+    arr = np.array(values, dtype=np.float64).reshape(shape)
     arr.flags.writeable = False
     return arr
 
@@ -138,13 +137,9 @@ class FullBodyPose:
 
     def __post_init__(self):
         object.__setattr__(self, "root_rotation", _freeze(self.root_rotation, 6))
-        locals_ = np.array(self.local_rotations, dtype=np.float64).reshape(-1, 6)
-        locals_.flags.writeable = False
-        object.__setattr__(self, "local_rotations", locals_)
+        object.__setattr__(self, "local_rotations", _freeze(self.local_rotations, (-1, 6)))
         if self.positions is not None:
-            pos = np.array(self.positions, dtype=np.float64).reshape(-1, 3)
-            pos.flags.writeable = False
-            object.__setattr__(self, "positions", pos)
+            object.__setattr__(self, "positions", _freeze(self.positions, (-1, 3)))
 
     def stacked_rotations(self):
         """All J joint rotations as a (J, 6) array, root first."""

@@ -14,7 +14,7 @@ import numpy as np
 from . import core
 from .errors import ShapeError, ZeroLengthBone
 
-_MIN_BONE = 1e-9
+MIN_BONE_LENGTH = 1e-9  # m; a shorter bone has collapsed
 
 
 def forward_chain(pose: core.FullBodyPose, tree: core.KinematicTree, anchor_position,
@@ -62,7 +62,7 @@ def bone_vectors(positions, tree: core.KinematicTree):
     """
     disp = positions[1:] - positions[tree.parent[1:]]
     length = np.sqrt(np.einsum("ij,ij->i", disp, disp))
-    if not np.all(length >= _MIN_BONE):
-        bad = 1 + int(np.flatnonzero(~(length >= _MIN_BONE))[0])
+    if not np.all(length >= MIN_BONE_LENGTH):
+        bad = 1 + int(np.flatnonzero(~(length >= MIN_BONE_LENGTH))[0])
         raise ZeroLengthBone(f"bone into joint {bad} has near-zero or undefined length")
     return disp, length

@@ -14,12 +14,15 @@ the session looks up in its tree.
   directions of each link (which doubles the sum and simply rescales the
   structure weights)
 
-Positions only: joint rotations are never touched here. The solver is
-plain gradient descent with a backtracking line search, which keeps
-per-frame cost bounded and deterministic. Everything except the
-bone-length term is quadratic in the positions, so the solver folds
-those terms into one precomputed matrix; the per-iteration cost is a
-handful of small array operations.
+Positions only: joint rotations are never touched here. All but the
+bone-length term is quadratic, and (|d| - l0)^2 = min over unit u of
+|d - l0 u|^2, so the solver alternates a local step (each bone projected
+onto its predicted length) with a global step (the quadratic minimizer for
+those bones, one multiply by a matrix fixed per skeleton): the local-global
+iteration of Sorkine & Alexa, "As-Rigid-As-Possible Surface Modeling" (SGP
+2007). No iteration raises the energy, so it needs no step size. It stops
+when the relative energy decrease falls below energy_tolerance, or at the
+max_iterations safety cap.
 """
 
 from __future__ import annotations
@@ -29,10 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .errors import ZeroLengthBone
-from .kinematics import bone_vectors
-
-_STEP_FLOOR = 1e-12
+from .kinematics import MIN_BONE_LENGTH, bone_vectors
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,6 @@ class KpoConfig:
     lambda_l: float = 1.0
     lambda_d: float = 0.5
     max_iterations: int = 30
-    step_size: float = 0.1
     energy_tolerance: float = 1e-6
 
     def __post_init__(self):
@@ -51,8 +50,6 @@ class KpoConfig:
                 raise ValueError(f"{name} must be nonnegative")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.step_size <= 0.0:
-            raise ValueError("step_size must be positive")
         if self.energy_tolerance <= 0.0:
             raise ValueError("energy_tolerance must be positive")
 
@@ -75,12 +72,10 @@ class KpoSolver:
         self.cfg = cfg
         self.tree = tree
         n = tree.joint_count
-        self.parent = tree.parent[1:]
-        m = n - 1
         # signed incidence (rows joints, columns links): +1 child, -1 parent
-        inc = np.zeros((n, m))
-        inc[np.arange(1, n), np.arange(m)] = 1.0
-        inc[self.parent, np.arange(m)] = -1.0
+        inc = np.zeros((n, n - 1))
+        inc[np.arange(1, n), np.arange(n - 1)] = 1.0
+        inc[tree.parent[1:], np.arange(n - 1)] = -1.0
         self.incidence = inc
         self.anchors = np.array(anchors, dtype=np.int64)
         self.others = np.delete(np.arange(n), self.anchors)
@@ -90,91 +85,78 @@ class KpoSolver:
         quad[self.others, self.others] += cfg.lambda_s
         quad += 2.0 * cfg.lambda_d * (inc @ inc.T)
         self.quad = quad
-        self.initial = None
-        self.linear = None
-        self.constant = 0.0
-        self.init_len = None
+        # global step for projected bones w: p = A^-1 (linear + 2 lambda_l inc w)
+        # = p0 + G w, with bone vectors d0 + K w. A is singular when the weights
+        # leave a joint free; such a solver evaluates the energy, refuses to run.
+        eig, vec = np.linalg.eigh(quad + 2.0 * cfg.lambda_l * (inc @ inc.T))
+        self._a_inv = None
+        if eig[0] > 1e-12 * eig[-1]:
+            self._a_inv = (vec / eig) @ vec.T
+            self._g = 2.0 * cfg.lambda_l * (self._a_inv @ inc)
+            self._k = inc.T @ self._g
 
     def set_arrays(self, initial, targets):
         """Load one frame: predicted positions (J, 3) and the tracked
         positions of the anchor joints, one row per entry of self.anchors."""
         cfg = self.cfg
         self.initial = initial
-        init_disp, self.init_len = bone_vectors(initial, self.tree)
+        self._targets = targets
+        self.init_disp, self.init_len = bone_vectors(initial, self.tree)
         linear = np.zeros_like(initial)
         linear[self.anchors] = cfg.lambda_a * targets
         linear[self.others] = cfg.lambda_s * initial[self.others]
-        linear += 2.0 * cfg.lambda_d * (self.incidence @ init_disp)
+        linear += 2.0 * cfg.lambda_d * (self.incidence @ self.init_disp)
         self.linear = linear
         self.constant = (
             cfg.lambda_a * float(np.einsum("ij,ij->", targets, targets))
-            + cfg.lambda_s
-            * float(np.einsum("ij,ij->", initial[self.others], initial[self.others]))
-            + 2.0 * cfg.lambda_d * float(np.einsum("ij,ij->", init_disp, init_disp))
+            + cfg.lambda_s * float(np.einsum("ij,ij->", initial[self.others], initial[self.others]))
+            + 2.0 * cfg.lambda_d * float(np.einsum("ij,ij->", self.init_disp, self.init_disp))
         )
 
-    def _eval(self, p):
-        """Energy plus the intermediates the gradient reuses."""
-        disp, length = bone_vectors(p, self.tree)
-        ap = self.quad @ p
+    def energy(self, p):
+        _, length = bone_vectors(p, self.tree)
         dlen = length - self.init_len
-        energy = (
-            float(np.einsum("ij,ij->", p, ap))
+        return (
+            float(np.einsum("ij,ij->", p, self.quad @ p))
             - 2.0 * float(np.einsum("ij,ij->", self.linear, p))
             + self.constant
             + 2.0 * self.cfg.lambda_l * float(np.dot(dlen, dlen))
         )
-        return energy, (ap, disp, length, dlen)
-
-    def _gradient(self, state):
-        ap, disp, length, dlen = state
-        grad = 2.0 * (ap - self.linear)
-        grad += self.incidence @ ((4.0 * self.cfg.lambda_l * dlen / length)[:, None] * disp)
-        return grad
-
-    def energy(self, p):
-        return self._eval(p)[0]
-
-    def value_and_gradient(self, p):
-        energy, state = self._eval(p)
-        return energy, self._gradient(state)
 
     def run(self):
+        """Minimize the loaded frame's energy: (positions (J, 3), KpoReport).
+        Raises ValueError when the weights leave a joint free (lambda_a = lambda_s = 0)."""
+        if self._a_inv is None:
+            raise ValueError("KPO system is singular: the weights leave a joint free")
         cfg = self.cfg
-        p = self.initial.copy()
-        energy, state = self._eval(p)
+        # the prediction keeps its bone lengths, so its energy is the alignment term
+        miss = self.initial[self.anchors] - self._targets
+        energy = cfg.lambda_a * float(np.einsum("ij,ij->", miss, miss))
         trace = [energy]
-        trial = cfg.step_size
-        iterations = 0
-        diverged = False
+        if energy == 0.0:
+            return self.initial.copy(), KpoReport(0, energy, np.array(trace))
+        p0 = self._a_inv @ self.linear
+        d0 = self.incidence.T @ p0
+        two_l = 2.0 * cfg.lambda_l
+        # energy of p0 + G w is c + 2 lambda_l (<w, K w> - 2 <|d|, l0>)
+        c = (self.constant - float(np.einsum("ij,ij->", self.linear, p0))
+             + two_l * float(np.dot(self.init_len, self.init_len)))
+        w = self.init_disp  # the prediction's bones: the first local step
+        best = None
         for _ in range(cfg.max_iterations):
-            if energy == 0.0:
+            kw = self._k @ w
+            d = d0 + kw
+            length = np.sqrt(np.einsum("ij,ij->i", d, d))
+            candidate = c + two_l * (float(np.vdot(w, kw))
+                                     - 2.0 * float(np.dot(length, self.init_len)))
+            # a collapsed bone cannot be projected: keep the last good iterate
+            diverged = not length.min() >= MIN_BONE_LENGTH
+            if diverged or not candidate < energy:
                 break
-            grad = self._gradient(state)
-            if float(np.max(np.abs(grad))) < 1e-15:
-                break
-            step = trial
-            accepted = False
-            while step >= _STEP_FLOOR:
-                candidate = p - step * grad
-                try:
-                    cand_energy, cand_state = self._eval(candidate)
-                except ZeroLengthBone:
-                    step *= 0.5
-                    continue
-                if cand_energy < energy:
-                    accepted = True
-                    break
-                step *= 0.5
-            if not accepted:
-                diverged = True
-                break
-            prev_energy = energy
-            p, energy, state = candidate, cand_energy, cand_state
+            prev_energy, energy, best = energy, candidate, w
             trace.append(energy)
-            iterations += 1
-            trial = min(step * 2.0, cfg.step_size)
-            if (prev_energy - energy) < cfg.energy_tolerance * max(prev_energy, 1e-30):
+            if prev_energy - energy < cfg.energy_tolerance * prev_energy:
                 break
-        return p, KpoReport(iterations, energy, np.array(trace), diverged)
-
+            w = (self.init_len / length)[:, None] * d
+        p = self.initial.copy() if best is None else p0 + self._g @ best
+        return p, KpoReport(len(trace) - 1, energy, np.array(trace), diverged)

@@ -82,6 +82,7 @@ class FrameResult:
     pose: core.FullBodyPose
     latencies: dict
     timestamp: float
+    kpo: kpo.KpoReport | None  # None when KPO is off
 
 
 STAGES = ("descriptor", "refine", "predict", "fk", "filter", "kpo")
@@ -201,9 +202,7 @@ class PipelineSession:
             self._pos_filter = VectorFilterBank(
                 3 * j, config.filter_min_cutoff, config.filter_beta, config.filter_d_cutoff
             )
-        self._kpo_solver = None
-        if config.use_kpo:
-            self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree, self._tracked)
+        self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree, self._tracked)
 
     def process_frame(self, head: core.DevicePose, left: core.DevicePose,
                       right: core.DevicePose, keypoints=None) -> FrameResult:
@@ -237,16 +236,17 @@ class PipelineSession:
             positions = self._pos_filter.step(positions.ravel(), head.timestamp).reshape(-1, 3)
             latencies["filter"] = (time.perf_counter_ns() - t0) / 1e3
 
+        report = None
         if cfg.use_kpo:
             t0 = time.perf_counter_ns()
             self._kpo_solver.set_arrays(
                 positions, np.stack([head.position, left.position, right.position])
             )
-            positions, _ = self._kpo_solver.run()
+            positions, report = self._kpo_solver.run()
             latencies["kpo"] = (time.perf_counter_ns() - t0) / 1e3
 
         latencies["total"] = (time.perf_counter_ns() - t_start) / 1e3
-        return FrameResult(pose.with_positions(positions), latencies, head.timestamp)
+        return FrameResult(pose.with_positions(positions), latencies, head.timestamp, report)
 
 
 # ---------------------------------------------------------------------------
@@ -273,15 +273,16 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig) -> ReplayRepo
     Ground truth comes from the gt annotations in the motion file; the
     keypoint file is optional when the keypoint stage is disabled.
     """
-    frames = replayfile.read_motion_file(motion_path)
+    session = PipelineSession(config)
+    joints = session.tree.joint_count  # every gt and keypoint record must have as many
+    frames = replayfile.read_motion_file(motion_path, joints)
     kp_frames = None
     if keypoint_path:
-        kp_frames = replayfile.read_keypoint_file(keypoint_path)
+        kp_frames = replayfile.read_keypoint_file(keypoint_path, joints)
         if len(kp_frames) != len(frames):
             raise FrameCountMismatch(
                 f"{len(frames)} motion frames vs {len(kp_frames)} keypoint frames"
             )
-    session = PipelineSession(config)
 
     upper, lower = evalmod.body_halves(session.tree)
     results = []

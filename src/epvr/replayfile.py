@@ -67,6 +67,15 @@ def _floats(values):
     return np.asarray(values, dtype=np.float64).tolist()
 
 
+def _array(values, shape: tuple, name: str):
+    """values as a float array of shape; a None length (J) takes any length."""
+    array = np.array(values, dtype=np.float64)
+    if array.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)):
+        want = tuple("J" if n is None else n for n in shape)
+        raise ValueError(f"{name} must have shape {want}, not {array.shape}")
+    return array
+
+
 def _time(rec) -> float:
     t = rec["t"]
     if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
@@ -86,9 +95,10 @@ def motion_record(head, left, right, gt=None) -> dict:
     return rec
 
 
-def read_motion_file(path):
+def read_motion_file(path, joints=None):
     """Load every frame: list of (head, left, right, gt) tuples; gt is
-    (rotations (J, 6), positions (J, 3)), or None for a record without one."""
+    (rotations (J, 6), positions (J, 3)), or None for a record without one.
+    J must equal joints unless that is None."""
 
     def frame(rec):
         t = _time(rec)
@@ -96,8 +106,8 @@ def read_motion_file(path):
                  for d in (rec[name] for name in _DEVICES)]
         gt = None
         if "gt" in rec:
-            gt = (np.array(rec["gt"]["r6"], dtype=np.float64).reshape(-1, 6),
-                  np.array(rec["gt"]["p"], dtype=np.float64).reshape(-1, 3))
+            rotations = _array(rec["gt"]["r6"], (joints, 6), "gt r6")
+            gt = (rotations, _array(rec["gt"]["p"], (len(rotations), 3), "gt p"))
         return (*poses, gt)
 
     return read_replay(path, MOTION_FORMAT, frame)
@@ -108,8 +118,12 @@ def keypoint_record(t, positions, visibility) -> dict:
     return {"t": float(t), "Z": _floats(positions), "zeta": _floats(visibility)}
 
 
-def read_keypoint_file(path):
-    """Load every frame: list of (t, positions (J, 3), visibility (J,)) tuples."""
-    return read_replay(path, KEYPOINT_FORMAT, lambda rec: (
-        _time(rec), np.array(rec["Z"], dtype=np.float64), np.array(rec["zeta"], dtype=np.float64)
-    ))
+def read_keypoint_file(path, joints=None):
+    """Load every frame: list of (t, positions (J, 3), visibility (J,))
+    tuples. J must equal joints unless that is None."""
+
+    def frame(rec):
+        t, z = _time(rec), _array(rec["Z"], (joints, 3), "Z")
+        return t, z, _array(rec["zeta"], (len(z),), "zeta")
+
+    return read_replay(path, KEYPOINT_FORMAT, frame)

@@ -193,3 +193,49 @@ def kpo_total_energy(p, initial, anchors, parent, cfg):
     return kpo_alignment_energy(p, initial, anchors, cfg) + kpo_structure_energy(
         p, initial, parent, cfg
     )
+
+
+def kpo_gradient(p, initial, anchors, parent, cfg):
+    """Gradient of kpo_total_energy, term by term."""
+    p = np.asarray(p, dtype=np.float64)
+    grad = np.zeros_like(p)
+    for j in range(len(p)):
+        if j in anchors:
+            grad[j] += 2.0 * cfg.lambda_a * (p[j] - np.asarray(anchors[j], dtype=np.float64))
+        else:
+            grad[j] += 2.0 * cfg.lambda_s * (p[j] - initial[j])
+    child = np.arange(1, len(parent))
+    bone = p[child] - p[parent[child]]
+    bone0 = initial[child] - initial[parent[child]]
+    length = np.linalg.norm(bone, axis=1)
+    dlen = length - np.linalg.norm(bone0, axis=1)
+    # d/d(bone) of 2 (lambda_l dlen^2 + lambda_d |bone - bone0|^2)
+    per_bone = (4.0 * cfg.lambda_l * dlen / length)[:, None] * bone + 4.0 * cfg.lambda_d * (bone - bone0)
+    np.add.at(grad, child, per_bone)
+    np.subtract.at(grad, parent[child], per_bone)
+    return grad
+
+
+def kpo_gradient_descent(initial, anchors, parent, cfg, iterations, step_size=0.1):
+    """Minimize kpo_total_energy from the prediction by gradient descent with
+    a backtracking line search: halve the step until the energy drops, and
+    try twice the accepted step (at most step_size) on the next iteration.
+    Stops after `iterations` accepted steps, or when no step of at least
+    1e-12 lowers the energy. Returns (positions, energy)."""
+    p = np.array(initial, dtype=np.float64)
+    energy = kpo_total_energy(p, initial, anchors, parent, cfg)
+    trial = step_size
+    for _ in range(iterations):
+        grad = kpo_gradient(p, initial, anchors, parent, cfg)
+        step = trial
+        while step >= 1e-12:
+            candidate = p - step * grad
+            cand_energy = kpo_total_energy(candidate, initial, anchors, parent, cfg)
+            if cand_energy < energy:
+                break
+            step *= 0.5
+        else:
+            break
+        p, energy = candidate, cand_energy
+        trial = min(2.0 * step, step_size)
+    return p, energy

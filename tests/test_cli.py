@@ -10,10 +10,10 @@ from epvr import cli, eval as evalmod, pipeline
 
 GOLDEN = {
     (): {
-        "mpjpe": (61.135029810295, 2.3647694589396386),
-        "mpjpe_u": (23.661310705041878, 1.875471847805114),
-        "mpjpe_l": (115.2637351845495, 3.4446897493612267),
-        "pa_mpjpe": (41.28467781949209, 0.9114321483077705),
+        "mpjpe": (58.17211703901985, 2.0301920391975474),
+        "mpjpe_u": (21.242765182128487, 1.9984085261450304),
+        "mpjpe_l": (111.5145141656407, 2.8248720714080826),
+        "pa_mpjpe": (40.49806935832821, 1.015997151657914),
         "mpjre": (141.1083013227673, 4.656705155779409),
     },
     ("--ablate", "kpo"): {
@@ -54,8 +54,9 @@ def test_bench_replays_the_walk_past_its_end_with_shifted_timestamps():
     config = pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False,
                                      use_fusion=False, use_kpo=False)
     seq = evalmod.generate_sequence("walk", 10 / 60.0, 60.0, seed=7)
-    fps, stages = cli._bench_once(config, 3 * seq.frame_count + 1, seq)
+    fps, stages, kpo_iterations = cli._bench_once(config, 3 * seq.frame_count + 1, seq)
     assert fps > 0 and set(stages) == set(pipeline.STAGES)
+    assert kpo_iterations == []
 
 
 def test_bench_json_reports_every_run_and_stage(capsys):
@@ -64,13 +65,16 @@ def test_bench_json_reports_every_run_and_stage(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["fps"]["runs"]) == 1 and doc["fps"]["mean"] == doc["fps"]["runs"][0]
     assert set(doc["stage_us"]) == set(pipeline.STAGES)
+    assert set(doc["kpo"]) == {"iterations", "cap_share"}
+    assert 0 < doc["kpo"]["iterations"] <= pipeline.PipelineConfig().kpo.max_iterations
+    assert 0 <= doc["kpo"]["cap_share"] <= 1
 
 
 def test_bench_reports_stage_means_over_every_run(capsys, monkeypatch):
     def three_runs():
-        runs = iter([(100.0, dict.fromkeys(pipeline.STAGES, 10.0)),
-                     (200.0, dict.fromkeys(pipeline.STAGES, 20.0)),
-                     (300.0, dict.fromkeys(pipeline.STAGES, 60.0))])
+        runs = iter([(100.0, dict.fromkeys(pipeline.STAGES, 10.0), [5, 30]),
+                     (200.0, dict.fromkeys(pipeline.STAGES, 20.0), [10, 10]),
+                     (300.0, dict.fromkeys(pipeline.STAGES, 60.0), [30, 5])])
         monkeypatch.setattr(cli, "_bench_once", lambda config, frames, seq: next(runs))
 
     argv = ["bench", "--frames", "5", "--runs", "3"]
@@ -80,11 +84,13 @@ def test_bench_reports_stage_means_over_every_run(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["fps"]["runs"] == [100.0, 200.0, 300.0] and doc["fps"]["mean"] == 200.0
     assert doc["stage_us"] == dict.fromkeys(pipeline.STAGES, 30.0)
+    assert doc["kpo"] == {"iterations": 15.0, "cap_share": 2 / 6}
     three_runs()
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("fps 200.0 ")
-    assert lines[1:] == [f"stage.{stage}_us 30.0" for stage in pipeline.STAGES]
+    assert lines[1:] == [f"stage.{stage}_us 30.0" for stage in pipeline.STAGES] + [
+        "kpo.iterations 15.00", "kpo.cap_share 0.333"]
 
 
 @pytest.mark.parametrize("flag", ["--runs", "--frames"])

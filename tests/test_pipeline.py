@@ -148,6 +148,27 @@ def test_config_rejects_unknown_keys():
             pipeline.PipelineConfig.from_dict({key: 1})
 
 
+def test_config_refuses_the_removed_kpo_step_size():
+    # the local-global KPO solve takes unit steps; a config that sets the
+    # old gradient step is refused rather than silently ignored
+    with pytest.raises(ValueError, match="step_size"):
+        pipeline.PipelineConfig.from_dict({"kpo": {"step_size": 0.1}})
+
+
+def test_kpo_stops_at_its_tolerance_on_an_hmd_only_walk():
+    config = pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False,
+                                     use_fusion=False)
+    seq = evalmod.generate_sequence("walk", 5.0, 60.0, seed=1)
+    session = pipeline.PipelineSession(config)
+    reports = [session.process_frame(seq.head[i], seq.left[i], seq.right[i]).kpo
+               for i in range(seq.frame_count)]
+    iterations = np.array([r.iterations for r in reports])
+    assert np.mean(iterations >= config.kpo.max_iterations) == 0.0  # cap share
+    assert np.all(iterations >= 1) and not any(r.diverged for r in reports)
+    off = pipeline.PipelineSession(dataclasses.replace(config, use_kpo=False))
+    assert off.process_frame(seq.head[0], seq.left[0], seq.right[0]).kpo is None
+
+
 def test_ablation_changes_only_the_named_stage():
     cfg = _custom_config()
     ablated = cli.apply_ablation(cfg, ["filter", "kpo"])

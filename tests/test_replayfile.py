@@ -79,3 +79,47 @@ def test_synthetic_sequence_comes_back_exactly(tmp_path):
     for i, (t, got_z, got_zeta) in enumerate(kp_frames):
         assert t == seq.timestamps[i]
         assert np.array_equal(got_z, z[i]) and np.array_equal(got_zeta, zeta[i])
+
+
+_J = core.default_tree().joint_count
+_GT = (np.tile(core.IDENTITY_6D, (_J, 1)), np.random.default_rng(0).normal(size=(_J, 3)))
+MISMATCHED = [
+    (replayfile.KEYPOINT_FORMAT, replayfile.read_keypoint_file,
+     replayfile.keypoint_record(0.0, np.ones((_J, 3)), np.ones(2)), r"zeta must have shape \(22,\), not \(2,\)"),
+    (replayfile.KEYPOINT_FORMAT, replayfile.read_keypoint_file,
+     replayfile.keypoint_record(0.0, np.ones((_J, 2)), np.ones(_J)), r"Z must have shape \('J', 3\), not \(22, 2\)"),
+    (replayfile.MOTION_FORMAT, replayfile.read_motion_file,
+     replayfile.motion_record(_DEVICE, _DEVICE, _DEVICE, gt=(_GT[0], _GT[1][:3])),
+     r"gt p must have shape \(22, 3\), not \(3, 3\)"),
+    (replayfile.MOTION_FORMAT, replayfile.read_motion_file,
+     replayfile.motion_record(_DEVICE, _DEVICE, _DEVICE, gt=(_GT[0][:, :5], _GT[1])),
+     r"gt r6 must have shape \('J', 6\), not \(22, 5\)"),
+]
+
+
+@pytest.mark.parametrize("fmt, read, record, why", MISMATCHED,
+                         ids=["zeta", "Z-width", "gt-positions", "gt-width"])
+def test_joint_counts_that_disagree_are_refused(tmp_path, fmt, read, record, why):
+    path = tmp_path / "bad.jsonl"
+    replayfile.write_replay(path, fmt, [GOOD[fmt], record])
+    with pytest.raises(FileFormat, match=rf"bad\.jsonl:3: bad frame record \({why}"):
+        read(path)
+
+
+def test_replay_refuses_files_of_another_skeleton(tmp_path):
+    motion, keypoints = tmp_path / "m.jsonl", tmp_path / "k.jsonl"
+    later = core.DevicePose(0.1, [0, 0, 0], core.IDENTITY_6D)
+    good_gt = replayfile.motion_record(_DEVICE, _DEVICE, _DEVICE, gt=_GT)
+    three_gt = replayfile.motion_record(later, later, later, gt=(_GT[0][:3], _GT[1][:3]))
+    good_kp = replayfile.keypoint_record(0.0, np.ones((_J, 3)), np.ones(_J))
+    three_kp = replayfile.keypoint_record(0.1, np.ones((3, 3)), np.ones(3))
+    config = pipeline.PipelineConfig(predictor="heuristic", use_fusion=False)
+    good_later = replayfile.motion_record(later, later, later, gt=_GT)
+    good_kp_later = replayfile.keypoint_record(0.1, np.ones((_J, 3)), np.ones(_J))
+    cases = [([good_gt, three_gt], [good_kp, good_kp_later], r"m.jsonl:3: .*gt r6 must have shape \(22, 6\), not \(3, 6\)"),
+             ([good_gt, good_later], [good_kp, three_kp], r"k.jsonl:3: .*Z must have shape \(22, 3\), not \(3, 3\)")]
+    for motion_records, kp_records, why in cases:
+        replayfile.write_replay(motion, replayfile.MOTION_FORMAT, motion_records)
+        replayfile.write_replay(keypoints, replayfile.KEYPOINT_FORMAT, kp_records)
+        with pytest.raises(FileFormat, match=why):
+            pipeline.run_replay(motion, keypoints, config)
