@@ -79,6 +79,10 @@ class TruncatedFrame(EpvrError):
     """Byte buffer ends before the declared envelope length."""
 
 
+class OversizedFrame(TruncatedFrame):
+    """Envelope header declares a payload longer than the protocol allows."""
+
+
 class UnknownKind(EpvrError):
     """Envelope kind byte is not a known message kind."""
 

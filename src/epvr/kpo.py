@@ -23,6 +23,10 @@ iteration of Sorkine & Alexa, "As-Rigid-As-Possible Surface Modeling" (SGP
 2007). No iteration raises the energy, so it needs no step size. It stops
 when the relative energy decrease falls below energy_tolerance, or at the
 max_iterations safety cap.
+
+KpoSolver(cfg, tree, anchors) builds that matrix once per skeleton;
+run(initial, targets) then solves one frame from the predicted positions
+and the tracked anchor positions, and keeps no per-frame state.
 """
 
 from __future__ import annotations
@@ -63,10 +67,9 @@ class KpoReport:
 
 
 class KpoSolver:
-    """Reusable solver: structure-dependent precomputes happen once, so
-    per-frame calls only refresh the prediction- and anchor-dependent
-    parts. anchors holds the index of each anchor joint, one per row of
-    the targets set_arrays takes."""
+    """Solver for one skeleton: the incidence and global-step matrices are
+    built once, and run(initial, targets) solves one frame and keeps nothing
+    of it. anchors holds the index of each anchor joint, one per target row."""
 
     def __init__(self, cfg: KpoConfig, tree: core.KinematicTree, anchors):
         self.cfg = cfg
@@ -79,76 +82,57 @@ class KpoSolver:
         self.incidence = inc
         self.anchors = np.array(anchors, dtype=np.int64)
         self.others = np.delete(np.arange(n), self.anchors)
-        # quadratic part: alignment + self-regularization + direction terms
-        quad = np.zeros((n, n))
-        quad[self.anchors, self.anchors] += cfg.lambda_a
-        quad[self.others, self.others] += cfg.lambda_s
-        quad += 2.0 * cfg.lambda_d * (inc @ inc.T)
-        self.quad = quad
+        # A: alignment + self-regularization + direction + length terms. The
         # global step for projected bones w: p = A^-1 (linear + 2 lambda_l inc w)
         # = p0 + G w, with bone vectors d0 + K w. A is singular when the weights
-        # leave a joint free; such a solver evaluates the energy, refuses to run.
-        eig, vec = np.linalg.eigh(quad + 2.0 * cfg.lambda_l * (inc @ inc.T))
+        # leave a joint free; such a solver refuses to run.
+        a = np.zeros((n, n))
+        a[self.anchors, self.anchors] += cfg.lambda_a
+        a[self.others, self.others] += cfg.lambda_s
+        a += 2.0 * cfg.lambda_d * (inc @ inc.T)
+        eig, vec = np.linalg.eigh(a + 2.0 * cfg.lambda_l * (inc @ inc.T))
         self._a_inv = None
         if eig[0] > 1e-12 * eig[-1]:
             self._a_inv = (vec / eig) @ vec.T
             self._g = 2.0 * cfg.lambda_l * (self._a_inv @ inc)
             self._k = inc.T @ self._g
 
-    def set_arrays(self, initial, targets):
-        """Load one frame: predicted positions (J, 3) and the tracked
-        positions of the anchor joints, one row per entry of self.anchors."""
-        cfg = self.cfg
-        self.initial = initial
-        self._targets = targets
-        self.init_disp, self.init_len = bone_vectors(initial, self.tree)
-        linear = np.zeros_like(initial)
-        linear[self.anchors] = cfg.lambda_a * targets
-        linear[self.others] = cfg.lambda_s * initial[self.others]
-        linear += 2.0 * cfg.lambda_d * (self.incidence @ self.init_disp)
-        self.linear = linear
-        self.constant = (
-            cfg.lambda_a * float(np.einsum("ij,ij->", targets, targets))
-            + cfg.lambda_s * float(np.einsum("ij,ij->", initial[self.others], initial[self.others]))
-            + 2.0 * cfg.lambda_d * float(np.einsum("ij,ij->", self.init_disp, self.init_disp))
-        )
-
-    def energy(self, p):
-        _, length = bone_vectors(p, self.tree)
-        dlen = length - self.init_len
-        return (
-            float(np.einsum("ij,ij->", p, self.quad @ p))
-            - 2.0 * float(np.einsum("ij,ij->", self.linear, p))
-            + self.constant
-            + 2.0 * self.cfg.lambda_l * float(np.dot(dlen, dlen))
-        )
-
-    def run(self):
-        """Minimize the loaded frame's energy: (positions (J, 3), KpoReport).
-        Raises ValueError when the weights leave a joint free (lambda_a = lambda_s = 0)."""
+    def run(self, initial, targets):
+        """Minimize one frame's energy from the predicted positions (J, 3)
+        and the anchors' tracked positions: (positions (J, 3), KpoReport).
+        Raises ZeroLengthBone on a prediction with a collapsed bone, and
+        ValueError when the weights leave a joint free (lambda_a = lambda_s = 0)."""
         if self._a_inv is None:
             raise ValueError("KPO system is singular: the weights leave a joint free")
         cfg = self.cfg
+        init_disp, init_len = bone_vectors(initial, self.tree)
         # the prediction keeps its bone lengths, so its energy is the alignment term
-        miss = self.initial[self.anchors] - self._targets
+        miss = initial[self.anchors] - targets
         energy = cfg.lambda_a * float(np.einsum("ij,ij->", miss, miss))
         trace = [energy]
         if energy == 0.0:
-            return self.initial.copy(), KpoReport(0, energy, np.array(trace))
-        p0 = self._a_inv @ self.linear
+            return initial.copy(), KpoReport(0, energy, np.array(trace))
+        linear = np.zeros_like(initial)
+        linear[self.anchors] = cfg.lambda_a * targets
+        linear[self.others] = cfg.lambda_s * initial[self.others]
+        linear += 2.0 * cfg.lambda_d * (self.incidence @ init_disp)
+        p0 = self._a_inv @ linear
         d0 = self.incidence.T @ p0
         two_l = 2.0 * cfg.lambda_l
         # energy of p0 + G w is c + 2 lambda_l (<w, K w> - 2 <|d|, l0>)
-        c = (self.constant - float(np.einsum("ij,ij->", self.linear, p0))
-             + two_l * float(np.dot(self.init_len, self.init_len)))
-        w = self.init_disp  # the prediction's bones: the first local step
+        c = (cfg.lambda_a * float(np.einsum("ij,ij->", targets, targets))
+             + cfg.lambda_s * float(np.einsum("ij,ij->", initial[self.others], initial[self.others]))
+             + 2.0 * cfg.lambda_d * float(np.einsum("ij,ij->", init_disp, init_disp))
+             - float(np.einsum("ij,ij->", linear, p0))
+             + two_l * float(np.dot(init_len, init_len)))
+        w = init_disp  # the prediction's bones: the first local step
         best = None
         for _ in range(cfg.max_iterations):
             kw = self._k @ w
             d = d0 + kw
             length = np.sqrt(np.einsum("ij,ij->i", d, d))
             candidate = c + two_l * (float(np.vdot(w, kw))
-                                     - 2.0 * float(np.dot(length, self.init_len)))
+                                     - 2.0 * float(np.dot(length, init_len)))
             # a collapsed bone cannot be projected: keep the last good iterate
             diverged = not length.min() >= MIN_BONE_LENGTH
             if diverged or not candidate < energy:
@@ -157,6 +141,6 @@ class KpoSolver:
             trace.append(energy)
             if prev_energy - energy < cfg.energy_tolerance * prev_energy:
                 break
-            w = (self.init_len / length)[:, None] * d
-        p = self.initial.copy() if best is None else p0 + self._g @ best
+            w = (init_len / length)[:, None] * d
+        p = initial.copy() if best is None else p0 + self._g @ best
         return p, KpoReport(len(trace) - 1, energy, np.array(trace), diverged)

@@ -42,6 +42,7 @@ from .errors import (
     BadMagic,
     BindFailure,
     CrcMismatch,
+    OversizedFrame,
     TruncatedFrame,
     UnknownKind,
     UnknownModel,
@@ -50,6 +51,9 @@ from .errors import (
 MAGIC = b"EPN1"
 HEADER_LEN = 4 + 1 + 16 + 8 + 8 + 4
 CRC_LEN = 4
+# largest payload a header may declare: a 22-joint POSE_RESULT is 1,608
+# bytes, a hello or an error (u16-length text) at most 65,539
+MAX_PAYLOAD = 1 << 20
 
 PAIRING_WINDOW = 0.008  # seconds between HMD and keypoint timestamps
 
@@ -98,6 +102,14 @@ def encode(env: Envelope) -> bytes:
     return body + struct.pack("<I", zlib.crc32(body))
 
 
+def _payload_len(header) -> int:
+    """The payload length a header declares; OversizedFrame beyond MAX_PAYLOAD."""
+    (n,) = struct.unpack_from("<I", header, HEADER_LEN - 4)
+    if n > MAX_PAYLOAD:
+        raise OversizedFrame(f"declared {n}-byte payload exceeds the {MAX_PAYLOAD}-byte limit")
+    return n
+
+
 def decode(buf: bytes) -> Envelope:
     """Parse one envelope from the start of buf (trailing bytes ignored)."""
     if len(buf) < 4:
@@ -108,7 +120,8 @@ def decode(buf: bytes) -> Envelope:
         raise TruncatedFrame(f"{len(buf)} bytes is shorter than the header")
     kind_byte = buf[4]
     session_id = bytes(buf[5:21])
-    sequence, micros, payload_len = struct.unpack_from("<QQI", buf, 21)
+    sequence, micros = struct.unpack_from("<QQ", buf, 21)
+    payload_len = _payload_len(buf)
     total = HEADER_LEN + payload_len + CRC_LEN
     if len(buf) < total:
         raise TruncatedFrame(f"declared {payload_len}-byte payload exceeds buffer")
@@ -264,7 +277,6 @@ class FrameBuffer:
 # server
 
 _SUBSCRIBER_BACKLOG = 64
-_RECV_CHUNK = 1 << 16
 _DRAIN_TIMEOUT = 2.0  # seconds an ending session waits for the frame in hand
 
 
@@ -275,8 +287,7 @@ def _recv_exact(sock, n):
     remaining = n
     while remaining > 0:
         try:
-            # capped so a forged payload length cannot make recv allocate 4 GB
-            chunk = sock.recv(min(remaining, _RECV_CHUNK))
+            chunk = sock.recv(remaining)  # at most MAX_PAYLOAD + CRC_LEN
         except ConnectionResetError:
             return None
         if not chunk:
@@ -294,8 +305,7 @@ def read_envelope(sock):
         return None
     if header[:4] != MAGIC:
         raise BadMagic(f"stream desynchronized: {header[:4]!r}")
-    (payload_len,) = struct.unpack_from("<I", header, HEADER_LEN - 4)
-    rest = _recv_exact(sock, payload_len + CRC_LEN)
+    rest = _recv_exact(sock, _payload_len(header) + CRC_LEN)
     if rest is None:
         return None
     return decode(header + rest)

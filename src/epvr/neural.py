@@ -136,26 +136,32 @@ def softmax(scores):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def multi_head_attention(q_in, kv_in, wq, bq, wk, bk, wv, bv, wo, bo, heads):
-    """Standard scaled dot-product attention; returns (n_q, S)."""
+def multi_head_attention(q_in, kv_in, w, heads):
+    """Standard scaled dot-product attention with the projections of w (a
+    LayerWeights or FusionWeights); returns (n_q, S)."""
     nq, dim = q_in.shape
     nk = kv_in.shape[0]
     head_dim = dim // heads
-    q = (q_in @ wq + bq).reshape(nq, heads, head_dim).transpose(1, 0, 2)
-    k = (kv_in @ wk + bk).reshape(nk, heads, head_dim).transpose(1, 0, 2)
-    v = (kv_in @ wv + bv).reshape(nk, heads, head_dim).transpose(1, 0, 2)
+    q = (q_in @ w.wq + w.bq).reshape(nq, heads, head_dim).transpose(1, 0, 2)
+    k = (kv_in @ w.wk + w.bk).reshape(nk, heads, head_dim).transpose(1, 0, 2)
+    v = (kv_in @ w.wv + w.bv).reshape(nk, heads, head_dim).transpose(1, 0, 2)
     scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
     mixed = (softmax(scores) @ v).transpose(1, 0, 2).reshape(nq, dim)
-    return mixed @ wo + bo
+    return mixed @ w.wo + w.bo
 
 
-def _encoder_layer(x, lw: LayerWeights, heads):
-    h = layer_norm(x, lw.ln1_g, lw.ln1_b)
-    x = x + multi_head_attention(
-        h, h, lw.wq, lw.bq, lw.wk, lw.bk, lw.wv, lw.bv, lw.wo, lw.bo, heads
-    )
-    h = layer_norm(x, lw.ln2_g, lw.ln2_b)
-    return x + np.maximum(h @ lw.ff_w1 + lw.ff_b1, 0.0) @ lw.ff_w2 + lw.ff_b2
+def _mlp(x, w1, b1, w2, b2):
+    """Two-layer ReLU perceptron over the last axis."""
+    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+
+
+def _block(x, w, heads, norm, ff_norm, context=None):
+    """Pre-norm residual block: x attends over context (a normalized
+    feature map; x's own normalized tokens when None), then a feed-forward.
+    norm and ff_norm are the (gain, bias) pairs of the two layer norms."""
+    h = layer_norm(x, *norm)
+    x = x + multi_head_attention(h, h if context is None else context, w, heads)
+    return x + _mlp(layer_norm(x, *ff_norm), w.ff_w1, w.ff_b1, w.ff_w2, w.ff_b2)
 
 
 def _check_finite(x, stage):
@@ -176,13 +182,13 @@ def spatiotemporal_encode(window, w: EncoderWeights, heads: int):
     x = window @ w.embed_w + w.embed_b + w.pos[:t]
     _check_finite(x, "embedding")
     for lw in w.frame_layers:
-        x = _encoder_layer(x, lw, heads)
+        x = _block(x, lw, heads, (lw.ln1_g, lw.ln1_b), (lw.ln2_g, lw.ln2_b))
     _check_finite(x, "frame encoder")
-    summary = np.maximum(x[-1] @ w.summary_w1 + w.summary_b1, 0.0) @ w.summary_w2 + w.summary_b2
+    summary = _mlp(x[-1], w.summary_w1, w.summary_b1, w.summary_w2, w.summary_b2)
     joints = summary.reshape(w.joint_embed.shape) + w.joint_embed
     _check_finite(joints, "joint summary")
     for lw in w.joint_layers:
-        joints = _encoder_layer(joints, lw, heads)
+        joints = _block(joints, lw, heads, (lw.ln1_g, lw.ln1_b), (lw.ln2_g, lw.ln2_b))
     _check_finite(joints, "joint encoder")
     return joints
 
@@ -193,13 +199,8 @@ def cross_attention_fuse(m, n, w: FusionWeights, heads: int):
     n = np.asarray(n, dtype=np.float64)
     if m.shape != n.shape or m.ndim != 2:
         raise ShapeError(f"feature maps must share (J, S) shape, got {m.shape} and {n.shape}")
-    q_in = layer_norm(m, w.ln_q_g, w.ln_q_b)
-    kv_in = layer_norm(n, w.ln_kv_g, w.ln_kv_b)
-    x = m + multi_head_attention(
-        q_in, kv_in, w.wq, w.bq, w.wk, w.bk, w.wv, w.bv, w.wo, w.bo, heads
-    )
-    h = layer_norm(x, w.ln_ff_g, w.ln_ff_b)
-    out = x + np.maximum(h @ w.ff_w1 + w.ff_b1, 0.0) @ w.ff_w2 + w.ff_b2
+    out = _block(m, w, heads, (w.ln_q_g, w.ln_q_b), (w.ln_ff_g, w.ln_ff_b),
+                 context=layer_norm(n, w.ln_kv_g, w.ln_kv_b))
     _check_finite(out, "fusion")
     return out
 
@@ -213,11 +214,8 @@ def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:
     fused = np.asarray(fused, dtype=np.float64)
     if fused.ndim != 2 or fused.shape[0] != joints:
         raise ShapeError(f"decoder expects ({joints}, S) features, got {fused.shape}")
-    root = np.maximum(fused[0] @ w.dec_root_w1 + w.dec_root_b1, 0.0) @ w.dec_root_w2 + w.dec_root_b2
-    locals_ = (
-        np.maximum(fused[1:] @ w.dec_local_w1 + w.dec_local_b1, 0.0) @ w.dec_local_w2
-        + w.dec_local_b2
-    )
+    root = _mlp(fused[0], w.dec_root_w1, w.dec_root_b1, w.dec_root_w2, w.dec_root_b2)
+    locals_ = _mlp(fused[1:], w.dec_local_w1, w.dec_local_b1, w.dec_local_w2, w.dec_local_b2)
     return core.FullBodyPose(root, locals_)
 
 
@@ -269,18 +267,11 @@ def init_weights(cfg: NetConfig = NetConfig(), seed: int = 0):
     visual = _init_encoder(rng, cfg, cfg.keypoint_dim)
     s = cfg.model_dim
     h = cfg.decoder_hidden
+    # the fusion block is a layer whose first norm applies to the queries
+    block = {name.replace("ln1", "ln_q").replace("ln2", "ln_ff"): value
+             for name, value in vars(_init_layer(rng, cfg)).items()}
     fusion = FusionWeights(
-        ln_q_g=np.ones(s), ln_q_b=np.zeros(s),
-        ln_kv_g=np.ones(s), ln_kv_b=np.zeros(s),
-        wq=_f32(rng, (s, s), 1.0 / np.sqrt(s)), bq=np.zeros(s),
-        wk=_f32(rng, (s, s), 1.0 / np.sqrt(s)), bk=np.zeros(s),
-        wv=_f32(rng, (s, s), 1.0 / np.sqrt(s)), bv=np.zeros(s),
-        wo=_f32(rng, (s, s), 1.0 / np.sqrt(s)), bo=np.zeros(s),
-        ln_ff_g=np.ones(s), ln_ff_b=np.zeros(s),
-        ff_w1=_f32(rng, (s, cfg.ff_mult * s), 1.0 / np.sqrt(s)),
-        ff_b1=np.zeros(cfg.ff_mult * s),
-        ff_w2=_f32(rng, (cfg.ff_mult * s, s), 1.0 / np.sqrt(cfg.ff_mult * s)),
-        ff_b2=np.zeros(s),
+        **block, ln_kv_g=np.ones(s), ln_kv_b=np.zeros(s),
         dec_root_w1=_f32(rng, (s, h), 1.0 / np.sqrt(s)),
         dec_root_b1=np.zeros(h),
         dec_root_w2=_f32(rng, (h, 6), 1.0 / np.sqrt(h)),

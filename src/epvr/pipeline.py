@@ -27,7 +27,7 @@ import numpy as np
 
 from . import core, descriptor, eval as evalmod, kinematics, kpo, neural, refine, replayfile
 from .errors import FileFormat, FrameCountMismatch
-from .filtering import VectorFilterBank
+from .filtering import DEFAULT_BETA, DEFAULT_D_CUTOFF, DEFAULT_MIN_CUTOFF, VectorFilterBank
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,15 @@ class PipelineConfig:
     use_kpo: bool = True
     window: int = 40
     kpo: kpo.KpoConfig = field(default_factory=kpo.KpoConfig)
-    filter_min_cutoff: float = 1.0
-    filter_beta: float = 0.007
-    filter_d_cutoff: float = 1.0
-    refine_min_cutoff: float = 1.0
-    refine_beta: float = 0.007
-    refine_d_cutoff: float = 1.0
+    filter_min_cutoff: float = DEFAULT_MIN_CUTOFF
+    filter_beta: float = DEFAULT_BETA
+    filter_d_cutoff: float = DEFAULT_D_CUTOFF
+    refine_min_cutoff: float = DEFAULT_MIN_CUTOFF
+    refine_beta: float = DEFAULT_BETA
+    refine_d_cutoff: float = DEFAULT_D_CUTOFF
     weights_path: str | None = None
     replay_file: str | None = None
-    missing_zeta_decay: float = 0.9
+    missing_zeta_decay: float = refine.DEFAULT_MISSING_ZETA_DECAY
 
     def __post_init__(self):
         if self.predictor not in ("neural", "replay", "heuristic"):
@@ -239,10 +239,8 @@ class PipelineSession:
         report = None
         if cfg.use_kpo:
             t0 = time.perf_counter_ns()
-            self._kpo_solver.set_arrays(
-                positions, np.stack([head.position, left.position, right.position])
-            )
-            positions, report = self._kpo_solver.run()
+            positions, report = self._kpo_solver.run(
+                positions, np.stack([head.position, left.position, right.position]))
             latencies["kpo"] = (time.perf_counter_ns() - t0) / 1e3
 
         latencies["total"] = (time.perf_counter_ns() - t_start) / 1e3

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import ShapeError
 from .filtering import DEFAULT_BETA, DEFAULT_D_CUTOFF, DEFAULT_MIN_CUTOFF, VectorFilterBank
 
+DEFAULT_MISSING_ZETA_DECAY = 0.9  # carried-over visibility kept per frame without keypoints
+
 
 class KeypointStream:
     """Refined keypoint window of one stream, advanced one frame at a time.
@@ -37,7 +39,8 @@ class KeypointStream:
     """
 
     def __init__(self, joint_count: int, window: int, min_cutoff=DEFAULT_MIN_CUTOFF,
-                 beta=DEFAULT_BETA, d_cutoff=DEFAULT_D_CUTOFF, missing_zeta_decay=0.9):
+                 beta=DEFAULT_BETA, d_cutoff=DEFAULT_D_CUTOFF,
+                 missing_zeta_decay=DEFAULT_MISSING_ZETA_DECAY):
         if window < 1:
             raise ValueError("window must be >= 1")
         self.filters = VectorFilterBank(joint_count, min_cutoff, beta, d_cutoff)

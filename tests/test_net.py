@@ -1,3 +1,5 @@
+import contextlib
+import dataclasses
 import socket
 import sys
 import threading
@@ -7,6 +9,7 @@ import numpy as np
 import pytest
 
 from epvr import eval as evalmod, net, neural, pipeline
+from epvr.errors import OversizedFrame
 
 TIMEOUT = 3.0
 MODEL = "hmd"
@@ -358,6 +361,11 @@ def _close_concurrently(walk):
         srv.close()
 
 
+def _send_quietly(sock, data):
+    with contextlib.suppress(OSError):  # the peer may close before all is sent
+        sock.sendall(data)
+
+
 def test_close_ends_a_connection_whose_peer_does_not_read():
     """A handler blocked writing to a peer that never reads is ended too,
     once the grace period for the frame in hand has passed."""
@@ -369,14 +377,18 @@ def test_close_ends_a_connection_whose_peer_does_not_read():
     closer = threading.Thread(target=srv.close, daemon=True)
     try:
         sock.connect(srv.address)
-        # the PONG echoing this payload outgrows the socket buffers
-        sock.sendall(net.encode(net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(8 << 20))))
-        time.sleep(0.2)  # let the handler read the PING and block writing the PONG
+        # the PONGs echoing 8 MiB of PINGs outgrow the socket buffers; a
+        # handler blocked on them stops reading, so a thread sends the PINGs
+        ping = net.encode(net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(net.MAX_PAYLOAD)))
+        writer = threading.Thread(target=_send_quietly, args=(sock, 8 * ping), daemon=True)
+        writer.start()
+        time.sleep(0.2)  # let the handler read PINGs and block writing a PONG
         t0 = time.perf_counter()
         closer.start()
         closer.join(net._DRAIN_TIMEOUT + 3.0)
         assert not closer.is_alive()
         assert time.perf_counter() - t0 >= net._DRAIN_TIMEOUT
+        writer.join(TIMEOUT)  # the server closed the connection under it
         assert [t for t in threading.enumerate() if t not in before and t is not closer] == []
     finally:
         sock.close()
@@ -466,6 +478,25 @@ def test_corrupted_crc_is_refused(server):
         assert client.recv() is None
     finally:
         client.close()
+
+
+def test_payload_length_over_the_limit_is_refused_before_its_body(server):
+    """A header declaring 2**32 - 1 payload bytes, with no body sent, is
+    refused at once instead of waiting for a body the server would buffer."""
+    client = _client(server)
+    try:
+        raw = net.encode(net.Envelope(net.Kind.PING, client.session_id, 0, 0.0))
+        client.sock.sendall(raw[:net.HEADER_LEN - 4] + (2**32 - 1).to_bytes(4, "little"))
+        assert _error_code(client) == net.ERR_PROTOCOL
+    finally:
+        client.close()
+
+
+def test_decode_takes_payloads_up_to_the_limit():
+    largest = net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(net.MAX_PAYLOAD))
+    assert net.decode(net.encode(largest)).payload == largest.payload
+    with pytest.raises(OversizedFrame):
+        net.decode(net.encode(dataclasses.replace(largest, payload=bytes(net.MAX_PAYLOAD + 1))))
 
 
 def test_refused_connection_is_closed_by_the_server(server):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -91,10 +93,9 @@ def test_uniform_attention_is_mean_pooling():
     x = rng.standard_normal((n_tok, s))
     eye = np.eye(s)
     zero = np.zeros(s)
-    out = neural.multi_head_attention(
-        x, x, np.zeros((s, s)), zero, np.zeros((s, s)), zero, eye, zero, eye, zero,
-        heads=1,
-    )
+    w = SimpleNamespace(wq=np.zeros((s, s)), bq=zero, wk=np.zeros((s, s)), bk=zero,
+                        wv=eye, bv=zero, wo=eye, bo=zero)
+    out = neural.multi_head_attention(x, x, w, heads=1)
     mean = x.mean(axis=0)
     for row in out:
         assert np.max(np.abs(row - mean)) < 1e-9
