@@ -100,8 +100,10 @@ def geodesic_angle(ra, rb):
 class DevicePose:
     """Position and orientation (plus rates) of one tracked device.
 
-    Velocities default to zero; streams that only carry poses get them
-    filled in by descriptor.derive_velocities.
+    Velocities default to zero. The linear velocity is in m/s; the angular
+    velocity is the componentwise rate of the 6D orientation, matching the
+    descriptor's rot6d_rate slots (the synthetic generator takes both as
+    finite differences of consecutive frames).
     """
 
     timestamp: float

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import core
-from .errors import NonFiniteInput, NonMonotonicTime, StaleFrame, TimestampSkew
+from .errors import NonFiniteInput, StaleFrame, TimestampSkew
 
 DESCRIPTOR_DIM = 72
 SYNC_TOLERANCE = 1e-4  # seconds between the three device timestamps
@@ -57,20 +57,6 @@ def build_descriptor(head: core.DevicePose, left: core.DevicePose, right: core.D
         block[3:6] = rel[:, 0]
         block[6:9] = rel[:, 1]
     return out
-
-
-def derive_velocities(prev: core.DevicePose, curr: core.DevicePose) -> core.DevicePose:
-    """Fill velocity fields by finite differences over two consecutive poses.
-
-    The angular rate is the componentwise rate of the 6D representation,
-    matching the descriptor's rot6d_rate slots.
-    """
-    dt = curr.timestamp - prev.timestamp
-    if dt <= 0.0:
-        raise NonMonotonicTime(f"dt = {dt} between consecutive poses")
-    v = (curr.position - prev.position) / dt
-    w = (curr.orientation - prev.orientation) / dt
-    return core.DevicePose(curr.timestamp, curr.position, curr.orientation, v, w)
 
 
 class DescriptorWindow:

@@ -4,13 +4,16 @@ Metrics follow the usual conventions: position errors in centimeters,
 rotation errors in degrees, Procrustes alignment is the full similarity
 (rotation + translation + uniform scale) solved in closed form.
 
-The generator drives a skeleton with parametric sinusoidal schedules
-(static / walk / squat / kick) that name the joints they move, derives
-device poses from the forward-kinematics head and wrist joints, and labels
-per-joint visibility by projecting through a downward-facing head camera.
-Joint counts and indices come from the kinematic tree (the shipped
-22-joint one by default), and MPJPE-U / MPJPE-L split it at the spine1
-subtree. It is bit-reproducible for a fixed seed.
+The generator drives a skeleton from a table of parametric sinusoidal
+motions (static / walk / squat / kick), each giving per frame the local
+rotations of the joints it moves and the root position. The rest of a
+sequence is built in one pass over whole-sequence arrays: one batched
+forward-kinematics call, device poses on the head and wrist joints with
+finite-difference velocities, and per-joint visibility from the joints
+seen through a downward-facing head camera. Joint counts and indices come
+from the kinematic tree (the shipped 22-joint one by default), and MPJPE-U
+/ MPJPE-L split it at the spine1 subtree. It is bit-reproducible for a
+fixed seed.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core, descriptor, kinematics
+from . import core, kinematics
 from .errors import DegenerateCloud, NotARotation, ShapeError, UnknownMotionKind
 
 M_TO_CM = 100.0
@@ -148,12 +151,24 @@ def default_camera() -> CameraModel:
     )
 
 
-def world_to_camera(positions, head: core.DevicePose, cam: CameraModel):
-    """Express world points in the camera frame attached to the head pose."""
+def world_to_camera(positions, head_position, head_orientation, cam: CameraModel):
+    """Express world points (..., J, 3) in the camera frame attached to the
+    head pose: its position (..., 3) and 6D orientation (..., 6)."""
     positions = np.asarray(positions, dtype=np.float64)
-    r_head = core.rot6d_to_matrix(head.orientation)
-    in_head = (positions - head.position) @ r_head
+    r_head = core.rot6d_to_matrix(head_orientation)
+    in_head = (positions - np.asarray(head_position)[..., None, :]) @ r_head
     return (in_head - cam.mount_position) @ cam.mount_rotation
+
+
+def _pixels(pts, cam: CameraModel):
+    """Pinhole pixels (..., J, 2) of camera-frame points and whether each
+    lands in the image in front of the camera (..., J)."""
+    z = pts[..., 2]
+    safe_z = np.where(z == 0.0, 1e-12, z)
+    u = cam.fx * pts[..., 0] / safe_z + cam.cx
+    v = cam.fy * pts[..., 1] / safe_z + cam.cy
+    visible = (z > 0.0) & (u >= 0.0) & (u < cam.width) & (v >= 0.0) & (v < cam.height)
+    return np.stack([u, v], axis=-1), visible
 
 
 def project_joints(positions, head: core.DevicePose, cam: CameraModel):
@@ -162,29 +177,22 @@ def project_joints(positions, head: core.DevicePose, cam: CameraModel):
     Returns (uv (J,2), depth (J,), visible (J,) bool). Joints behind the
     camera keep their coordinates but are flagged invisible.
     """
-    pts = world_to_camera(positions, head, cam)
-    z = pts[:, 2]
-    safe_z = np.where(z == 0.0, 1e-12, z)
-    u = cam.fx * pts[:, 0] / safe_z + cam.cx
-    v = cam.fy * pts[:, 1] / safe_z + cam.cy
-    visible = (z > 0.0) & (u >= 0.0) & (u < cam.width) & (v >= 0.0) & (v < cam.height)
-    return np.stack([u, v], axis=1), z, visible
+    pts = world_to_camera(positions, head.position, head.orientation, cam)
+    uv, visible = _pixels(pts, cam)
+    return uv, pts[:, 2], visible
 
 
 # ---------------------------------------------------------------------------
 # synthetic sequences
 
-MOTION_KINDS = ("static", "walk", "squat", "kick")
-
 _X = np.array([1.0, 0.0, 0.0])
 _Y = np.array([0.0, 1.0, 0.0])
 _Z = np.array([0.0, 0.0, 1.0])
 
-_L_SHOULDER, _R_SHOULDER = "left_shoulder", "right_shoulder"
-_L_HIP, _R_HIP = "left_hip", "right_hip"
-_L_KNEE, _R_KNEE = "left_knee", "right_knee"
-_L_ANKLE, _R_ANKLE = "left_ankle", "right_ankle"
-_SPINE1, _NECK = "spine1", "neck"
+_STANDING_HEIGHT = 0.96  # m, root height of the upright skeleton
+# shoulder rotations bringing the T-pose arms to the body's sides
+_ARMS_DOWN = {"left_shoulder": core.axis_angle_matrix(_Z, -1.3),
+              "right_shoulder": core.axis_angle_matrix(_Z, 1.3)}
 
 
 @dataclass(frozen=True)
@@ -200,87 +208,75 @@ class SyntheticSequence:
     keypoints_cam: np.ndarray
     visibility: np.ndarray
     rate: float
-    tree: core.KinematicTree = field(repr=False, default=None)
-    camera: CameraModel = field(repr=False, default=None)
+    tree: core.KinematicTree = field(repr=False)
+    camera: CameraModel = field(repr=False)
 
     @property
     def frame_count(self):
         return len(self.timestamps)
 
 
-def _arms_down(side):
-    """Shoulder rotation bringing a T-pose arm to the body's side."""
-    angle = -1.3 if side == "left" else 1.3
-    return core.axis_angle_matrix(_Z, angle)
+def _rx(angle):
+    return core.axis_angle_matrix(_X, angle)
 
 
-def _schedule(kind, phase, rng_params, tree: core.KinematicTree):
-    """Local rotation matrices (J, 3, 3) of the tree's joints for one frame
-    of a motion kind; joints the schedule does not name keep the identity."""
-    a = rng_params
-    rots = {_L_SHOULDER: _arms_down("left"), _R_SHOULDER: _arms_down("right")}
-    if kind == "walk":
-        swing = a["leg_amp"] * math.sin(phase)
-        rots[_L_HIP] = core.axis_angle_matrix(_X, swing)
-        rots[_R_HIP] = core.axis_angle_matrix(_X, -swing)
-        knee_l = a["knee_amp"] * max(0.0, math.sin(phase + math.pi / 2.0))
-        knee_r = a["knee_amp"] * max(0.0, math.sin(phase + 3.0 * math.pi / 2.0))
-        rots[_L_KNEE] = core.axis_angle_matrix(_X, -knee_l)
-        rots[_R_KNEE] = core.axis_angle_matrix(_X, -knee_r)
-        arm = a["arm_amp"] * math.sin(phase)
-        rots[_L_SHOULDER] = rots[_L_SHOULDER] @ core.axis_angle_matrix(_X, -arm)
-        rots[_R_SHOULDER] = rots[_R_SHOULDER] @ core.axis_angle_matrix(_X, arm)
-        rots[_SPINE1] = core.axis_angle_matrix(_Y, 0.06 * math.sin(phase))
-        rots[_NECK] = core.axis_angle_matrix(_Y, -0.04 * math.sin(phase))
-    elif kind == "squat":
-        depth = a["squat_amp"] * 0.5 * (1.0 - math.cos(phase))
-        rots[_L_HIP] = core.axis_angle_matrix(_X, -depth)
-        rots[_R_HIP] = core.axis_angle_matrix(_X, -depth)
-        rots[_L_KNEE] = core.axis_angle_matrix(_X, 1.8 * depth)
-        rots[_R_KNEE] = core.axis_angle_matrix(_X, 1.8 * depth)
-        rots[_L_ANKLE] = core.axis_angle_matrix(_X, -0.8 * depth)
-        rots[_R_ANKLE] = core.axis_angle_matrix(_X, -0.8 * depth)
-        reach = 0.9 * depth
-        rots[_L_SHOULDER] = rots[_L_SHOULDER] @ core.axis_angle_matrix(_X, -reach)
-        rots[_R_SHOULDER] = rots[_R_SHOULDER] @ core.axis_angle_matrix(_X, -reach)
-        rots[_SPINE1] = core.axis_angle_matrix(_X, -0.25 * depth)
-    elif kind == "kick":
-        kick = a["kick_amp"] * max(0.0, math.sin(phase)) ** 2
-        rots[_R_HIP] = core.axis_angle_matrix(_X, -kick)
-        rots[_R_KNEE] = core.axis_angle_matrix(_X, 0.6 * kick * max(0.0, math.cos(phase)))
-        rots[_L_HIP] = core.axis_angle_matrix(_X, 0.15 * kick)
-        arm = 0.3 * kick
-        rots[_L_SHOULDER] = rots[_L_SHOULDER] @ core.axis_angle_matrix(_X, -arm)
-        rots[_SPINE1] = core.axis_angle_matrix(_X, -0.1 * kick)
-    elif kind != "static":
-        raise UnknownMotionKind(f"unknown motion kind {kind!r}")
-    return [rots.get(name, np.eye(3)) for name in tree.names]
+def _static(t, phase, a):
+    return {}, np.array([0.0, _STANDING_HEIGHT, 0.0])
 
 
-def _root_position(kind, t, phase, a):
-    base_y = 0.96
-    if kind == "static":
-        return np.array([0.0, base_y, 0.0])
-    if kind == "walk":
-        return np.array(
-            [
-                0.02 * math.sin(phase / 2.0),
-                base_y + 0.015 * abs(math.cos(phase)),
-                a["speed"] * t,
-            ]
-        )
-    if kind == "squat":
-        drop = a["squat_amp"] * 0.5 * (1.0 - math.cos(phase))
-        return np.array([0.0, base_y - 0.32 * drop, 0.0])
-    if kind == "kick":
-        return np.array([0.0, base_y + 0.01 * math.sin(phase), 0.0])
-    raise UnknownMotionKind(f"unknown motion kind {kind!r}")
+def _walk(t, phase, a):
+    swing = a["leg_amp"] * math.sin(phase)
+    knee_l = a["knee_amp"] * max(0.0, math.sin(phase + math.pi / 2.0))
+    knee_r = a["knee_amp"] * max(0.0, math.sin(phase + 3.0 * math.pi / 2.0))
+    arm = a["arm_amp"] * math.sin(phase)
+    rots = {
+        "left_hip": _rx(swing), "right_hip": _rx(-swing),
+        "left_knee": _rx(-knee_l), "right_knee": _rx(-knee_r),
+        "left_shoulder": _ARMS_DOWN["left_shoulder"] @ _rx(-arm),
+        "right_shoulder": _ARMS_DOWN["right_shoulder"] @ _rx(arm),
+        "spine1": core.axis_angle_matrix(_Y, 0.06 * math.sin(phase)),
+        "neck": core.axis_angle_matrix(_Y, -0.04 * math.sin(phase)),
+    }
+    root = [0.02 * math.sin(phase / 2.0), _STANDING_HEIGHT + 0.015 * abs(math.cos(phase)),
+            a["speed"] * t]
+    return rots, np.array(root)
+
+
+def _squat(t, phase, a):
+    depth = a["squat_amp"] * 0.5 * (1.0 - math.cos(phase))
+    rots = {
+        "left_hip": _rx(-depth), "right_hip": _rx(-depth),
+        "left_knee": _rx(1.8 * depth), "right_knee": _rx(1.8 * depth),
+        "left_ankle": _rx(-0.8 * depth), "right_ankle": _rx(-0.8 * depth),
+        "left_shoulder": _ARMS_DOWN["left_shoulder"] @ _rx(-0.9 * depth),
+        "right_shoulder": _ARMS_DOWN["right_shoulder"] @ _rx(-0.9 * depth),
+        "spine1": _rx(-0.25 * depth),
+    }
+    return rots, np.array([0.0, _STANDING_HEIGHT - 0.32 * depth, 0.0])
+
+
+def _kick(t, phase, a):
+    kick = a["kick_amp"] * max(0.0, math.sin(phase)) ** 2
+    rots = {
+        "right_hip": _rx(-kick), "right_knee": _rx(0.6 * kick * max(0.0, math.cos(phase))),
+        "left_hip": _rx(0.15 * kick),
+        "left_shoulder": _ARMS_DOWN["left_shoulder"] @ _rx(-0.3 * kick),
+        "spine1": _rx(-0.1 * kick),
+    }
+    return rots, np.array([0.0, _STANDING_HEIGHT + 0.01 * math.sin(phase), 0.0])
+
+
+# Each motion kind: (t, phase, amplitudes) -> (local rotation matrices of
+# the joints it moves, by name, and the root position). Joints it does not
+# name keep the arms-down rest pose.
+_MOTIONS = {"static": _static, "walk": _walk, "squat": _squat, "kick": _kick}
+MOTION_KINDS = tuple(_MOTIONS)
 
 
 def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
                       tree: core.KinematicTree | None = None) -> SyntheticSequence:
     """Deterministic synthetic motion with full ground truth annotations."""
-    if kind not in MOTION_KINDS:
+    if kind not in _MOTIONS:
         raise UnknownMotionKind(f"unknown motion kind {kind!r}")
     if duration <= 0.0 or rate <= 0.0:
         raise ValueError("duration and rate must be positive")
@@ -300,41 +296,40 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
     frame_count = max(1, int(round(duration * rate)))
     timestamps = np.arange(frame_count, dtype=np.float64) / rate
 
-    n = tree.joint_count
-    poses = []
-    positions = np.empty((frame_count, n, 3))
-    device_joints = core.tracked_joints(tree)
-    head_poses, left_poses, right_poses = devices = [], [], []
-
+    # the motions run per frame on scalars, as math.sin and np.sin can differ
+    # in the last bit and sequences are pinned bit for bit; everything after
+    # them runs on whole-sequence arrays
+    motion = _MOTIONS[kind]
+    local = np.empty((frame_count, tree.joint_count, 3, 3))
+    root = np.empty((frame_count, 3))
+    eye = np.eye(3)
     for i, t in enumerate(timestamps):
         phase = 2.0 * math.pi * params["freq"] * t + params["phase0"]
-        if kind == "static":
-            phase = params["phase0"]
-        rots = _schedule(kind, phase, params, tree)
-        pose = core.FullBodyPose(
-            core.matrix_to_rot6d(rots[0]),
-            np.stack([core.matrix_to_rot6d(r) for r in rots[1:]]),
-        )
-        root_pos = _root_position(kind, 0.0 if kind == "static" else t, phase, params)
-        pos, glob = kinematics.forward_chain(pose, tree, root_pos, anchor_joint=0)
-        poses.append(pose)
-        positions[i] = pos
-        for joint, device in zip(device_joints, devices):
-            device.append(core.DevicePose(t, pos[joint], core.matrix_to_rot6d(glob[joint])))
+        moved, root[i] = motion(t, phase, params)
+        rots = {**_ARMS_DOWN, **moved}
+        local[i] = [rots.get(name, eye) for name in tree.names]
+    rotations = core.matrix_to_rot6d(local)
+    positions, world = kinematics.forward_chain(rotations, tree, root, anchor_joint=0)
+    poses = [core.FullBodyPose(r[0], r[1:]) for r in rotations]
 
-    # finite-difference velocities (first frame keeps zeros)
-    for seq in devices:
-        for i in range(len(seq) - 1, 0, -1):
-            seq[i] = descriptor.derive_velocities(seq[i - 1], seq[i])
+    # device rows (T, device, ...); velocities are finite differences, zero
+    # on the first frame
+    joints = core.tracked_joints(tree)
+    device_position = positions[:, joints]
+    device_orientation = core.matrix_to_rot6d(world[:, joints])
+    dt = np.diff(timestamps)[:, None, None]
+    linear, angular = (np.concatenate([np.zeros_like(x[:1]), np.diff(x, axis=0) / dt])
+                       for x in (device_position, device_orientation))
+    head, left, right = ([core.DevicePose(*row) for row in zip(
+        timestamps, device_position[:, d], device_orientation[:, d], linear[:, d], angular[:, d])]
+        for d in range(len(joints)))
 
-    keypoints_cam = np.empty_like(positions)
-    visibility = np.empty((frame_count, n), dtype=bool)
-    for i in range(frame_count):
-        keypoints_cam[i] = world_to_camera(positions[i], head_poses[i], camera)
-        _, _, visibility[i] = project_joints(positions[i], head_poses[i], camera)
+    keypoints_cam = world_to_camera(positions, device_position[:, 0],
+                                    device_orientation[:, 0], camera)
+    _, visibility = _pixels(keypoints_cam, camera)
 
     return SyntheticSequence(
-        timestamps=timestamps, head=head_poses, left=left_poses, right=right_poses,
+        timestamps=timestamps, head=head, left=left, right=right,
         poses=poses, positions=positions, keypoints_cam=keypoints_cam, visibility=visibility,
         rate=rate, tree=tree, camera=camera,
     )

@@ -5,6 +5,10 @@ rest offsets from the root, then rigidly translated so the anchor joint
 lands on the tracked headset position. The anchor is the joint the headset
 sits on, the first of core.TRACKED_JOINT_NAMES. The body's orientation
 comes from the predicted root rotation alone.
+
+forward_chain poses any number of frames in one call (the synthetic
+generator poses a whole sequence at once); forward_kinematics is the
+per-pose entry the pipeline calls for each frame.
 """
 
 from __future__ import annotations
@@ -17,41 +21,49 @@ from .errors import ShapeError, ZeroLengthBone
 MIN_BONE_LENGTH = 1e-9  # m; a shorter bone has collapsed
 
 
-def forward_chain(pose: core.FullBodyPose, tree: core.KinematicTree, anchor_position,
+def forward_chain(rotations, tree: core.KinematicTree, anchor_position,
                   anchor_joint: int | None = None):
-    """World positions (J x 3) and world rotation matrices (J x 3 x 3) of
-    every joint.
+    """World positions (..., J, 3) and world rotation matrices (..., J, 3, 3)
+    of every joint, for any number of poses at once.
 
-    The chain is accumulated from the root, then translated as one rigid
-    body so the anchor joint (by default the joint the headset sits on)
-    lands on anchor_position. Raises ShapeError unless the pose has one
-    rotation per tree joint.
+    rotations is (..., J, 6), root first as in FullBodyPose.stacked_rotations(),
+    and anchor_position (..., 3) holds one anchor per pose. Each chain is
+    accumulated from the root, then translated as one rigid body so the
+    anchor joint (by default the joint the headset sits on) lands on its
+    anchor_position. Raises ShapeError unless there is one rotation per
+    tree joint.
     """
-    stacked = pose.stacked_rotations()
+    rotations = np.asarray(rotations, dtype=np.float64)
     n = tree.joint_count
-    if len(stacked) != n:
-        raise ShapeError(f"pose has {len(stacked)} rotations, tree has {n} joints")
-    locals_ = core.rot6d_to_matrix(stacked)
+    if rotations.ndim < 2 or rotations.shape[-2:] != (n, 6):
+        raise ShapeError(f"rotations have shape {rotations.shape}, tree has {n} joints")
+    # joint-major (J, B, ...): each depth level is one integer index on axis
+    # 0, which costs a single pose less than indexing [:, level] would
+    locals_ = core.rot6d_to_matrix(rotations).reshape(-1, n, 3, 3).swapaxes(0, 1)
     parent = tree.parent
-    offsets = tree.rest_offset
-    rot = np.empty((n, 3, 3))
-    raw = np.empty((n, 3))
+    rot = np.empty(locals_.shape)
     rot[0] = locals_[0]
-    raw[0] = 0.0
     for level in tree.depth_levels:
-        par = parent[level]
-        parent_rot = rot[par]
-        rot[level] = parent_rot @ locals_[level]
-        raw[level] = raw[par] + np.einsum("kij,kj->ki", parent_rot, offsets[level])
+        rot[level] = rot[parent[level]] @ locals_[level]
+    # every rest offset turned by its parent's world rotation, then summed
+    # down the chain
+    raw = np.empty(locals_.shape[:2] + (3,))
+    raw[0] = 0.0
+    raw[1:] = np.einsum("kbij,kj->kbi", rot[parent[1:]], tree.rest_offset[1:])
+    for level in tree.depth_levels:
+        raw[level] += raw[parent[level]]
     if anchor_joint is None:
         anchor_joint = tree.joint_index(core.TRACKED_JOINT_NAMES[0])
-    return raw - raw[anchor_joint] + anchor_position, rot
+    positions = raw - raw[anchor_joint] + np.reshape(anchor_position, (-1, 3))
+    batch = rotations.shape[:-1]
+    return (positions.swapaxes(0, 1).reshape(batch + (3,)),
+            rot.swapaxes(0, 1).reshape(batch + (3, 3)))
 
 
 def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree, anchor_position,
                        anchor_joint: int | None = None):
-    """World positions (J x 3) of every joint; see forward_chain."""
-    return forward_chain(pose, tree, anchor_position, anchor_joint)[0]
+    """World positions (J x 3) of every joint of one pose; see forward_chain."""
+    return forward_chain(pose.stacked_rotations(), tree, anchor_position, anchor_joint)[0]
 
 
 def bone_vectors(positions, tree: core.KinematicTree):

@@ -88,6 +88,9 @@ class Envelope:
             raise ValueError("session id must be 16 bytes")
         if self.sequence < 0:
             raise ValueError("sequence must be nonnegative")
+        if len(self.payload) > MAX_PAYLOAD:
+            raise ValueError(
+                f"{len(self.payload)}-byte payload exceeds the {MAX_PAYLOAD}-byte limit")
 
 
 def encode(env: Envelope) -> bytes:

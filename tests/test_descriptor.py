@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epvr import core, descriptor, replayfile
-from epvr.errors import FileFormat, NonFiniteInput, NonMonotonicTime, StaleFrame, TimestampSkew
+from epvr.errors import FileFormat, NonFiniteInput, StaleFrame, TimestampSkew
 
 import oracles
 
@@ -110,39 +110,6 @@ def test_non_finite_device_pose_rejected(bad, device):
     poses[device] = dataclasses.replace(poses[device], **bad)
     with pytest.raises(NonFiniteInput):
         descriptor.build_descriptor(*poses)
-
-
-def test_derive_velocities_zero_for_identical_poses():
-    a = _pose(t=0.0, pos=(1, 2, 3))
-    b = _pose(t=1 / 60, pos=(1, 2, 3))
-    out = descriptor.derive_velocities(a, b)
-    assert np.array_equal(out.linear_velocity, [0, 0, 0])
-    assert np.array_equal(out.angular_velocity, np.zeros(6))
-
-
-def test_derive_velocities_magnitude():
-    a = _pose(t=0.0)
-    b = _pose(t=1 / 60, pos=(0.06, 0, 0))
-    out = descriptor.derive_velocities(a, b)
-    assert abs(np.linalg.norm(out.linear_velocity) - 3.6) < 1e-9
-
-
-def test_derive_velocities_matches_finite_difference_oracle():
-    rng = np.random.default_rng(9)
-    for _ in range(50):
-        dt = rng.uniform(1e-3, 0.1)
-        pa, pb = rng.standard_normal(3), rng.standard_normal(3)
-        ra, rb = oracles.random_rotation(rng), oracles.random_rotation(rng)
-        a, b = _pose(t=1.0, pos=pa, rot=ra), _pose(t=1.0 + dt, pos=pb, rot=rb)
-        out = descriptor.derive_velocities(a, b)
-        assert np.max(np.abs(out.linear_velocity - (pb - pa) / dt)) < 1e-9
-        want_w = (b.orientation - a.orientation) / dt
-        assert np.max(np.abs(out.angular_velocity - want_w)) < 1e-9
-
-
-def test_derive_velocities_rejects_non_monotone_time():
-    with pytest.raises(NonMonotonicTime):
-        descriptor.derive_velocities(_pose(t=1.0), _pose(t=1.0))
 
 
 def _descriptor_with_marker(value):

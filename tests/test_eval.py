@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -78,36 +79,38 @@ def _rotvec_grid(center, span, steps):
     return center + grid
 
 
-def _rot_from_vec(v):
-    angle = np.linalg.norm(v)
-    if angle < 1e-12:
-        return np.eye(3)
-    return oracles.quat_to_matrix(oracles.quat_from_axis_angle(v / angle, angle))
+def _rots_from_vecs(vecs):
+    """Rotation matrices (N, 3, 3) of rotation vectors (N, 3), built through
+    the oracle quaternion; a zero vector gives the identity."""
+    angle = np.linalg.norm(vecs, axis=1)
+    axis = vecs / np.where(angle < 1e-12, 1.0, angle)[:, None]
+    half = angle / 2.0
+    quat = np.concatenate([np.cos(half)[None], np.sin(half) * axis.T])
+    return np.moveaxis(oracles.quat_to_matrix(quat), -1, 0)
 
 
 def _grid_procrustes(pred, gt):
     """Brute-force similarity alignment: hierarchical rotation grid, with the
     closed-form least-squares scale/translation per candidate rotation.
-    Candidates are ranked by the least-squares objective; the returned value
-    is the mean per-joint error of the best alignment, in cm."""
+    Candidates are ranked by the least-squares objective, the first of equal
+    ones winning; the returned value is the mean per-joint error of the best
+    alignment, in cm. Each level scores its 729 rotations at once."""
     pred_c = pred - pred.mean(axis=0)
     gt_c = gt - gt.mean(axis=0)
     denom = float(np.sum(pred_c * pred_c))
 
-    def score(rot):
-        rotated = pred_c @ rot.T
-        scale = float(np.sum(rotated * gt_c)) / denom
-        res = scale * rotated - gt_c
-        sse = float(np.sum(res * res))
-        return sse, float(np.mean(np.linalg.norm(res, axis=1))) * 100.0
-
     best_vec, best_sse, best_val = np.zeros(3), np.inf, np.inf
     span = math.pi
     for level in range(9):
-        for vec in _rotvec_grid(best_vec, span, 9):
-            sse, val = score(_rot_from_vec(vec))
-            if sse < best_sse:
-                best_sse, best_val, best_vec = sse, val, vec
+        vecs = _rotvec_grid(best_vec, span, 9)
+        rotated = np.einsum("nij,kj->nki", _rots_from_vecs(vecs), pred_c)
+        scale = np.einsum("nki,ki->n", rotated, gt_c) / denom
+        res = scale[:, None, None] * rotated - gt_c
+        sse = np.einsum("nki,nki->n", res, res)
+        first = int(np.argmin(sse))
+        if sse[first] < best_sse:
+            best_sse, best_vec = sse[first], vecs[first]
+            best_val = float(np.mean(np.linalg.norm(res[first], axis=1))) * 100.0
         span /= 4.0
     return best_val
 
@@ -239,6 +242,57 @@ def test_device_poses_sit_on_their_joints():
         assert np.array_equal(seq.head[i].position, seq.positions[i][head])
         assert np.array_equal(seq.left[i].position, seq.positions[i][left])
         assert np.array_equal(seq.right[i].position, seq.positions[i][right])
+
+
+@pytest.mark.parametrize("kind", evalmod.MOTION_KINDS)
+def test_generated_velocities_are_finite_differences(kind):
+    seq = evalmod.generate_sequence(kind, 1.0, 30.0, seed=8)
+    for device in (seq.head, seq.left, seq.right):
+        for prev, curr in zip(device, device[1:]):
+            dt = curr.timestamp - prev.timestamp
+            assert np.array_equal(curr.linear_velocity, (curr.position - prev.position) / dt)
+            assert np.array_equal(curr.angular_velocity,
+                                  (curr.orientation - prev.orientation) / dt)
+
+
+@pytest.mark.parametrize("duration", [0.001, 1.0])  # one frame, many frames
+def test_generated_velocities_are_zero_on_the_first_frame(duration):
+    seq = evalmod.generate_sequence("walk", duration, 60.0, seed=9)
+    for device in (seq.head, seq.left, seq.right):
+        assert np.array_equal(device[0].linear_velocity, np.zeros(3))
+        assert np.array_equal(device[0].angular_velocity, np.zeros(6))
+
+
+def test_generated_walk_carries_the_headset_forward_at_walking_speed():
+    seq = evalmod.generate_sequence("walk", 2.0, 60.0, seed=10)
+    forward = np.mean([pose.linear_velocity[2] for pose in seq.head[1:]])
+    assert 0.65 < forward < 1.15  # 0.9 m/s +- 20 %, plus the torso sway
+
+
+def _sequence_digest(seq):
+    """sha256 over every generated array, in a fixed order."""
+    h = hashlib.sha256()
+    for arr in (seq.timestamps, seq.positions, seq.keypoints_cam, seq.visibility,
+                np.stack([pose.stacked_rotations() for pose in seq.poses])):
+        h.update(np.ascontiguousarray(arr).tobytes())
+    for device in (seq.head, seq.left, seq.right):
+        for p in device:
+            h.update(np.concatenate([[p.timestamp], p.position, p.orientation,
+                                     p.linear_velocity, p.angular_velocity]).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("static", "732c53b733bf2cc780b96260591be5c6bd3b9a363a1623c097afa0c76ee1ef45"),
+    ("walk", "f09270ba99b1cda8ab20aecc245e299810c9bf7964fd5930c725136482e4debf"),
+    ("squat", "a2c508e9ec286a0dade6d30eef097643b6025382ebe1c7a7dbde5273b860f351"),
+    ("kick", "9562665a1abcca2824f5f96839226edb4e9023faa2852b8a8bdef73938e7cc15"),
+])
+def test_generated_sequences_keep_their_bits(kind, digest):
+    """Pins the generator's output bit for bit: positions, camera keypoints,
+    visibility, joint rotations and device rows of a 1.5 s sequence."""
+    seq = evalmod.generate_sequence(kind, 1.5, 60.0, seed=7)
+    assert _sequence_digest(seq) == digest
 
 
 def test_unknown_motion_kind():

@@ -144,7 +144,7 @@ def test_forward_chain_rotations_are_the_ancestor_products():
     rng = np.random.default_rng(57)
     pose = _random_pose(rng)
     anchor = np.array([0, 1.6, 0])
-    pos, rot = kinematics.forward_chain(pose, tree, anchor)
+    pos, rot = kinematics.forward_chain(pose.stacked_rotations(), tree, anchor)
     assert np.array_equal(pos, kinematics.forward_kinematics(pose, tree, anchor))
     local = core.rot6d_to_matrix(pose.stacked_rotations())
     for j in range(tree.joint_count):
@@ -166,7 +166,7 @@ def test_forward_chain_poses_a_tree_of_any_size():
     rz = oracles.quat_to_matrix(oracles.quat_from_axis_angle([0, 0, 1], np.pi / 2))
     pose = core.FullBodyPose(core.IDENTITY_6D, [core.matrix_to_rot6d(rz), core.IDENTITY_6D])
     anchor = np.zeros(3)
-    pos, rot = kinematics.forward_chain(pose, tree, anchor)
+    pos, rot = kinematics.forward_chain(pose.stacked_rotations(), tree, anchor)
     # the root bone stays on +y, the rotated mid joint turns its child bone to -x
     want = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [-0.25, 0.5, 0.0]])
     assert np.max(np.abs(pos - (want - want[2]))) < 1e-12
@@ -178,5 +178,23 @@ def test_forward_chain_poses_a_tree_of_any_size():
 def test_forward_chain_rejects_a_rotation_count_the_tree_does_not_have(rotations):
     pose = oracles.rest_pose(rotations)
     anchor = np.zeros(3)
-    with pytest.raises(ShapeError, match=f"{rotations} rotations"):
-        kinematics.forward_chain(pose, _chain_tree(), anchor)
+    with pytest.raises(ShapeError, match=rf"\({rotations}, 6\)"):
+        kinematics.forward_chain(pose.stacked_rotations(), _chain_tree(), anchor)
+
+
+def test_forward_chain_poses_a_batch_as_the_per_frame_calls():
+    tree = core.default_tree()
+    rng = np.random.default_rng(58)
+    rotations = np.stack([_random_pose(rng).stacked_rotations() for _ in range(6)])
+    anchors = rng.standard_normal((6, 3))
+    pos, rot = kinematics.forward_chain(rotations, tree, anchors)
+    assert pos.shape == (6, 22, 3) and rot.shape == (6, 22, 3, 3)
+    for i in range(6):
+        one_pos, one_rot = kinematics.forward_chain(rotations[i], tree, anchors[i])
+        assert np.array_equal(pos[i], one_pos)
+        assert np.array_equal(rot[i], one_rot)
+    # any leading shape: a (2, 3) grid of poses
+    grid_pos, grid_rot = kinematics.forward_chain(
+        rotations.reshape(2, 3, 22, 6), tree, anchors.reshape(2, 3, 3))
+    assert np.array_equal(grid_pos.reshape(pos.shape), pos)
+    assert np.array_equal(grid_rot.reshape(rot.shape), rot)

@@ -1,9 +1,11 @@
 import contextlib
 import dataclasses
 import socket
+import struct
 import sys
 import threading
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -495,8 +497,16 @@ def test_payload_length_over_the_limit_is_refused_before_its_body(server):
 def test_decode_takes_payloads_up_to_the_limit():
     largest = net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(net.MAX_PAYLOAD))
     assert net.decode(net.encode(largest)).payload == largest.payload
+    # an envelope cannot hold a longer payload, so the frame is built by hand
+    header = net.encode(dataclasses.replace(largest, payload=b""))[:net.HEADER_LEN - 4]
+    body = header + struct.pack("<I", net.MAX_PAYLOAD + 1) + bytes(net.MAX_PAYLOAD + 1)
     with pytest.raises(OversizedFrame):
-        net.decode(net.encode(dataclasses.replace(largest, payload=bytes(net.MAX_PAYLOAD + 1))))
+        net.decode(body + struct.pack("<I", zlib.crc32(body)))
+
+
+def test_envelope_refuses_a_payload_over_the_limit():
+    with pytest.raises(ValueError, match="exceeds"):
+        net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(net.MAX_PAYLOAD + 1))
 
 
 def test_refused_connection_is_closed_by_the_server(server):
