@@ -16,6 +16,7 @@ import time
 import numpy as np
 
 from . import eval as evalmod, net, pipeline
+from .kpo import KpoConfig
 
 log = logging.getLogger("epvr")
 
@@ -117,10 +118,10 @@ def cmd_replay(args) -> int:
 
 
 def _bench_once(config, frames, seq):
-    """fps, mean µs per stage, and each frame's KPO iterations (none if KPO is off)."""
+    """fps, and each frame's µs per stage and KPO iterations (none if KPO is off)."""
     session = pipeline.PipelineSession(config)
     kp = None
-    stage_totals = dict.fromkeys(pipeline.STAGES, 0.0)
+    stage_us = {stage: [] for stage in pipeline.STAGES}
     iterations = []
     n = seq.frame_count
     t0 = time.perf_counter()
@@ -135,11 +136,11 @@ def _bench_once(config, frames, seq):
             kp = (seq.keypoints_cam[j], seq.visibility[j].astype(np.float64))
         result = session.process_frame(head, left, right, kp)
         for stage in pipeline.STAGES:
-            stage_totals[stage] += result.latencies[stage]
+            stage_us[stage].append(result.latencies[stage])
         if result.kpo is not None:
             iterations.append(result.kpo.iterations)
     wall = time.perf_counter() - t0
-    return frames / wall, {k: v / frames for k, v in stage_totals.items()}, iterations
+    return frames / wall, stage_us, iterations
 
 
 def _positive_int(text: str) -> int:
@@ -158,23 +159,24 @@ def cmd_bench(args) -> int:
         return 2
     runs = [_bench_once(config, args.frames, seq) for _ in range(args.runs)]
     fps_runs = [fps for fps, _, _ in runs]
-    stage_means = {stage: sum(stages[stage] for _, stages, _ in runs) / args.runs
-                   for stage in pipeline.STAGES}
+    # the median over every frame of every run: a descheduled frame moves a mean
+    stage_us = {stage: float(np.median(np.concatenate([stages[stage] for _, stages, _ in runs])))
+                for stage in pipeline.STAGES}
     its = np.concatenate([run[2] for run in runs])  # KPO iterations of every frame
     kpo = {"iterations": float(np.mean(its)), "cap_share": float(np.mean(
-        its >= config.kpo.max_iterations))} if config.use_kpo else None
+        its >= KpoConfig().max_iterations))} if config.use_kpo else None
     mean, std = evalmod.summarize(fps_runs)
     if args.json:
         print(json.dumps({
             "frames": args.frames,
             "fps": {"runs": fps_runs, "mean": mean, "std": std},
-            "stage_us": {stage: stage_means[stage] for stage in pipeline.STAGES},
+            "stage_us": stage_us,
             "kpo": kpo,
         }, indent=2))
         return 0
     print(f"fps {mean:.1f} ± {std:.1f}  ({args.runs} runs x {args.frames} frames)")
     for stage in pipeline.STAGES:
-        print(f"stage.{stage}_us {stage_means[stage]:.1f}")
+        print(f"stage.{stage}_us {stage_us[stage]:.1f}")
     if kpo:
         print(f"kpo.iterations {kpo['iterations']:.2f}\nkpo.cap_share {kpo['cap_share']:.3f}")
     return 0

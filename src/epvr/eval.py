@@ -171,17 +171,6 @@ def _pixels(pts, cam: CameraModel):
     return np.stack([u, v], axis=-1), visible
 
 
-def project_joints(positions, head: core.DevicePose, cam: CameraModel):
-    """Pinhole projection of world joints through the head-mounted camera.
-
-    Returns (uv (J,2), depth (J,), visible (J,) bool). Joints behind the
-    camera keep their coordinates but are flagged invisible.
-    """
-    pts = world_to_camera(positions, head.position, head.orientation, cam)
-    uv, visible = _pixels(pts, cam)
-    return uv, pts[:, 2], visible
-
-
 # ---------------------------------------------------------------------------
 # synthetic sequences
 

@@ -26,6 +26,7 @@ kernel until the peer's delayed ACK of the first (about 40 ms on Linux).
 from __future__ import annotations
 
 import dataclasses
+import math
 import queue
 import socket
 import struct
@@ -54,6 +55,7 @@ CRC_LEN = 4
 # largest payload a header may declare: a 22-joint POSE_RESULT is 1,608
 # bytes, a hello or an error (u16-length text) at most 65,539
 MAX_PAYLOAD = 1 << 20
+_MAX_MICROS = (1 << 64) - 4096  # decode's cap: the seconds of the top 3,071 fields encode as 2**64
 
 PAIRING_WINDOW = 0.008  # seconds between HMD and keypoint timestamps
 
@@ -91,10 +93,20 @@ class Envelope:
         if len(self.payload) > MAX_PAYLOAD:
             raise ValueError(
                 f"{len(self.payload)}-byte payload exceeds the {MAX_PAYLOAD}-byte limit")
+        _micros(self.timestamp)
+
+
+def _micros(t: float) -> int:
+    """t seconds as the u64 microseconds of the timestamp field, or ValueError."""
+    scaled = float(t) * 1e6
+    micros = round(scaled) if math.isfinite(scaled) else -1
+    if not 0 <= micros < 1 << 64:
+        raise ValueError(f"timestamp {t} s does not fit the u64-microsecond field")
+    return micros
 
 
 def encode(env: Envelope) -> bytes:
-    micros = max(0, int(round(env.timestamp * 1e6)))
+    micros = _micros(env.timestamp)
     body = (
         MAGIC
         + struct.pack("<B", int(env.kind))
@@ -136,7 +148,8 @@ def decode(buf: bytes) -> Envelope:
         kind = Kind(kind_byte)
     except ValueError:
         raise UnknownKind(f"kind byte {kind_byte}") from None
-    return Envelope(kind, session_id, sequence, micros / 1e6, bytes(buf[HEADER_LEN:HEADER_LEN + payload_len]))
+    seconds = min(micros, _MAX_MICROS) / 1e6  # seconds that encode can carry back
+    return Envelope(kind, session_id, sequence, seconds, bytes(buf[HEADER_LEN:HEADER_LEN + payload_len]))
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +183,14 @@ def encode_hmd_payload(head, left, right) -> bytes:
 
 
 def decode_hmd_payload(payload: bytes):
+    """(head, left, right); ValueError on another length or on a device
+    timestamp that the envelope of a reply could not carry."""
     step = _POSE_FIELDS * 8
     if len(payload) != 3 * step:
         raise ValueError(f"HMD payload must be {3 * step} bytes, got {len(payload)}")
     rows = np.frombuffer(payload, "<f8").reshape(3, _POSE_FIELDS)
+    for t in rows[:, 0]:
+        _micros(t)
     return tuple(
         core.DevicePose(float(r[0]), r[1:4], r[4:10], r[10:13], r[13:19]) for r in rows
     )

@@ -6,7 +6,9 @@ are identity pass-throughs with zero latency):
     descriptor push -> keypoint refine -> predict -> FK (head-anchored)
     -> one-Euro position filter -> kinematic pose optimization
 
-Predictor backends behind one small contract:
+Predictor backends behind one contract: predict(window, keypoints) returns
+a FullBodyPose, and `window`, the number of descriptor frames it reads,
+sizes the session's descriptor and keypoint windows.
 
 * neural:    the toy-scale dual-stream encoders + fusion + decoders
 * replay:    ground-truth rotations looked up from an annotated motion file
@@ -21,13 +23,13 @@ from __future__ import annotations
 import dataclasses
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import core, descriptor, eval as evalmod, kinematics, kpo, neural, refine, replayfile
 from .errors import FileFormat, FrameCountMismatch
-from .filtering import DEFAULT_BETA, DEFAULT_D_CUTOFF, DEFAULT_MIN_CUTOFF, VectorFilterBank
+from .filtering import VectorFilterBank
 
 
 @dataclass(frozen=True)
@@ -38,43 +40,25 @@ class PipelineConfig:
     use_fusion: bool = True
     use_filter: bool = True
     use_kpo: bool = True
-    window: int = 40
-    kpo: kpo.KpoConfig = field(default_factory=kpo.KpoConfig)
-    filter_min_cutoff: float = DEFAULT_MIN_CUTOFF
-    filter_beta: float = DEFAULT_BETA
-    filter_d_cutoff: float = DEFAULT_D_CUTOFF
-    refine_min_cutoff: float = DEFAULT_MIN_CUTOFF
-    refine_beta: float = DEFAULT_BETA
-    refine_d_cutoff: float = DEFAULT_D_CUTOFF
     weights_path: str | None = None
     replay_file: str | None = None
-    missing_zeta_decay: float = refine.DEFAULT_MISSING_ZETA_DECAY
 
     def __post_init__(self):
         if self.predictor not in ("neural", "replay", "heuristic"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.use_fusion and not self.use_keypoints:
             raise ValueError("fusion requires the keypoint stream")
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
 
     @staticmethod
     def from_dict(doc: dict) -> "PipelineConfig":
-        """Inverse of to_dict; raises ValueError on a key that names no field."""
-        doc = dict(doc)
-        if isinstance(doc.get("kpo"), dict):
-            doc["kpo"] = _from_fields(kpo.KpoConfig, doc["kpo"])
-        return _from_fields(PipelineConfig, doc)
-
-
-def _from_fields(cls, doc: dict):
-    unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
-    if unknown:
-        raise ValueError(f"unknown {cls.__name__} keys: {sorted(unknown)}")
-    return cls(**doc)
+        """Inverse of to_dict; raises ValueError naming every key that names no field."""
+        unknown = set(doc) - {f.name for f in dataclasses.fields(PipelineConfig)}
+        if unknown:
+            raise ValueError(f"unknown PipelineConfig keys: {sorted(unknown)}")
+        return PipelineConfig(**doc)
 
 
 @dataclass
@@ -99,6 +83,10 @@ class NeuralPredictor:
         self.net_cfg = net_cfg
         self.use_fusion = use_fusion
 
+    @property
+    def window(self):
+        return self.net_cfg.window
+
     def predict(self, window: descriptor.DescriptorWindow, keypoints):
         m = neural.spatiotemporal_encode(window.frames, self.motion_w, self.net_cfg.heads)
         if self.use_fusion and keypoints is not None:
@@ -110,6 +98,8 @@ class NeuralPredictor:
 
 class ReplayPredictor:
     """Ground-truth rotations looked up by timestamp from an annotated file."""
+
+    window = 1  # reads only the window's end timestamp
 
     def __init__(self, records):
         self._times = np.array([t for t, _ in records])
@@ -137,6 +127,8 @@ class ReplayPredictor:
 class HeuristicPredictor:
     """Rest pose whose root yaw follows the headset heading."""
 
+    window = 1  # reads only the newest frame
+
     def __init__(self, tree: core.KinematicTree):
         self._locals = np.tile(core.IDENTITY_6D, (tree.joint_count - 1, 1))
 
@@ -155,10 +147,9 @@ class HeuristicPredictor:
 
 def build_predictor(config: PipelineConfig, tree: core.KinematicTree):
     if config.predictor == "neural":
-        # the network shape the pipeline feeds: its window, one token per
-        # tree joint, and the tree's keypoints flattened
-        shape = dict(window=config.window, joints=tree.joint_count,
-                     keypoint_dim=3 * tree.joint_count)
+        # the network shape the pipeline feeds: one token per tree joint and
+        # the tree's keypoints flattened; the session takes the window from it
+        shape = dict(joints=tree.joint_count, keypoint_dim=3 * tree.joint_count)
         if config.weights_path:
             motion_w, visual_w, fusion_w, net_cfg = neural.load_weights(config.weights_path)
             for name, want in shape.items():
@@ -191,18 +182,11 @@ class PipelineSession:
         self._tracked = core.tracked_joints(self.tree)
         self.predictor = predictor or build_predictor(config, self.tree)
         j = self.tree.joint_count
-        self._window = descriptor.DescriptorWindow(config.window)
-        self._keypoints = refine.KeypointStream(
-            j, config.window, config.refine_min_cutoff,
-            config.refine_beta, config.refine_d_cutoff, config.missing_zeta_decay,
-        )
+        self._window = descriptor.DescriptorWindow(self.predictor.window)
+        self._keypoints = refine.KeypointStream(j, self.predictor.window)
         self._refine_fn = refine.refine_normalized if config.use_refine_normalized else refine.refine
-        self._pos_filter = None
-        if config.use_filter:
-            self._pos_filter = VectorFilterBank(
-                3 * j, config.filter_min_cutoff, config.filter_beta, config.filter_d_cutoff
-            )
-        self._kpo_solver = kpo.KpoSolver(config.kpo, self.tree, self._tracked)
+        self._pos_filter = VectorFilterBank(3 * j) if config.use_filter else None
+        self._kpo_solver = kpo.KpoSolver(kpo.KpoConfig(), self.tree, self._tracked)
 
     def process_frame(self, head: core.DevicePose, left: core.DevicePose,
                       right: core.DevicePose, keypoints=None) -> FrameResult:

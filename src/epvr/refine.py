@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ShapeError
-from .filtering import DEFAULT_BETA, DEFAULT_D_CUTOFF, DEFAULT_MIN_CUTOFF, VectorFilterBank
+from .filtering import VectorFilterBank
 
-DEFAULT_MISSING_ZETA_DECAY = 0.9  # carried-over visibility kept per frame without keypoints
+MISSING_ZETA_DECAY = 0.9  # carried-over visibility kept per frame without keypoints
 
 
 class KeypointStream:
@@ -31,20 +31,18 @@ class KeypointStream:
     Owns the visibility filter bank, a (window, J, 3) buffer of refined
     frames in time order, and the last keypoints with their carried-over
     visibility. A frame without keypoints reuses the last positions with
-    visibility decayed by missing_zeta_decay. Every frame is refined once,
+    visibility decayed by MISSING_ZETA_DECAY. The visibility filter runs at
+    the one-Euro defaults of filtering. Every frame is refined once,
     when it arrives, so the window equals a single full pass over the
     stream on every retained frame. Keypoints are checked by validated
     before the frame is stepped, so a refused frame leaves the stream as
     it was.
     """
 
-    def __init__(self, joint_count: int, window: int, min_cutoff=DEFAULT_MIN_CUTOFF,
-                 beta=DEFAULT_BETA, d_cutoff=DEFAULT_D_CUTOFF,
-                 missing_zeta_decay=DEFAULT_MISSING_ZETA_DECAY):
+    def __init__(self, joint_count: int, window: int):
         if window < 1:
             raise ValueError("window must be >= 1")
-        self.filters = VectorFilterBank(joint_count, min_cutoff, beta, d_cutoff)
-        self.missing_zeta_decay = missing_zeta_decay
+        self.filters = VectorFilterBank(joint_count)
         self.refined = np.zeros((window, joint_count, 3))
         self.fill = 0
         self.last_z = None
@@ -74,7 +72,7 @@ class KeypointStream:
         if keypoints is not None:
             z, zeta = keypoints
         elif self.last_z is not None:
-            z, zeta = self.last_z, self.carry_zeta * self.missing_zeta_decay
+            z, zeta = self.last_z, self.carry_zeta * MISSING_ZETA_DECAY
         else:
             return None
         mask = np.maximum(self.filters.step(zeta, t) - 0.5, 0.0)

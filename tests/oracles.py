@@ -103,6 +103,25 @@ def apply_transform(t, v):
     return (t @ np.append(v, 1.0))[:3]
 
 
+def project_joints(positions, head, cam):
+    """Pinhole projection of world joints through the head-mounted camera,
+    one homogeneous transform and one scalar division per joint: (uv (J, 2),
+    depth (J,), visible (J,)). A joint is visible in front of the camera and
+    inside the image."""
+    t_world_cam = make_transform(gram_schmidt_6d(head.orientation), head.position) @ (
+        make_transform(cam.mount_rotation, cam.mount_position))
+    t_cam_world = invert_transform(t_world_cam)
+    uv, depth, visible = [], [], []
+    for p in positions:
+        x, y, z = (float(c) for c in apply_transform(t_cam_world, p))
+        u = cam.fx * x / z + cam.cx
+        v = cam.fy * y / z + cam.cy
+        uv.append((u, v))
+        depth.append(z)
+        visible.append(z > 0.0 and 0.0 <= u < cam.width and 0.0 <= v < cam.height)
+    return np.array(uv), np.array(depth), np.array(visible)
+
+
 # --- skeleton ----------------------------------------------------------------
 
 

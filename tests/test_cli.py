@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from epvr import cli, eval as evalmod, pipeline
+from epvr import cli, eval as evalmod, kpo, pipeline
 
 GOLDEN = {
     (): {
@@ -54,8 +54,10 @@ def test_bench_replays_the_walk_past_its_end_with_shifted_timestamps():
     config = pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False,
                                      use_fusion=False, use_kpo=False)
     seq = evalmod.generate_sequence("walk", 10 / 60.0, 60.0, seed=7)
-    fps, stages, kpo_iterations = cli._bench_once(config, 3 * seq.frame_count + 1, seq)
+    frames = 3 * seq.frame_count + 1
+    fps, stages, kpo_iterations = cli._bench_once(config, frames, seq)
     assert fps > 0 and set(stages) == set(pipeline.STAGES)
+    assert all(len(stages[stage]) == frames for stage in pipeline.STAGES)
     assert kpo_iterations == []
 
 
@@ -66,15 +68,16 @@ def test_bench_json_reports_every_run_and_stage(capsys):
     assert len(doc["fps"]["runs"]) == 1 and doc["fps"]["mean"] == doc["fps"]["runs"][0]
     assert set(doc["stage_us"]) == set(pipeline.STAGES)
     assert set(doc["kpo"]) == {"iterations", "cap_share"}
-    assert 0 < doc["kpo"]["iterations"] <= pipeline.PipelineConfig().kpo.max_iterations
+    assert 0 < doc["kpo"]["iterations"] <= kpo.KpoConfig().max_iterations
     assert 0 <= doc["kpo"]["cap_share"] <= 1
 
 
-def test_bench_reports_stage_means_over_every_run(capsys, monkeypatch):
+def test_bench_reports_stage_medians_over_every_frame(capsys, monkeypatch):
+    # per-stage µs of each frame; the median of all six is 12.5, the mean 32.7
     def three_runs():
-        runs = iter([(100.0, dict.fromkeys(pipeline.STAGES, 10.0), [5, 30]),
-                     (200.0, dict.fromkeys(pipeline.STAGES, 20.0), [10, 10]),
-                     (300.0, dict.fromkeys(pipeline.STAGES, 60.0), [30, 5])])
+        runs = iter([(100.0, dict.fromkeys(pipeline.STAGES, [10.0, 11.0]), [5, 30]),
+                     (200.0, dict.fromkeys(pipeline.STAGES, [12.0]), [10, 10]),
+                     (300.0, dict.fromkeys(pipeline.STAGES, [60.0, 90.0, 13.0]), [30, 5])])
         monkeypatch.setattr(cli, "_bench_once", lambda config, frames, seq: next(runs))
 
     argv = ["bench", "--frames", "5", "--runs", "3"]
@@ -83,13 +86,13 @@ def test_bench_reports_stage_means_over_every_run(capsys, monkeypatch):
     assert cli.main(argv + ["--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["fps"]["runs"] == [100.0, 200.0, 300.0] and doc["fps"]["mean"] == 200.0
-    assert doc["stage_us"] == dict.fromkeys(pipeline.STAGES, 30.0)
+    assert doc["stage_us"] == dict.fromkeys(pipeline.STAGES, 12.5)
     assert doc["kpo"] == {"iterations": 15.0, "cap_share": 2 / 6}
     three_runs()
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("fps 200.0 ")
-    assert lines[1:] == [f"stage.{stage}_us 30.0" for stage in pipeline.STAGES] + [
+    assert lines[1:] == [f"stage.{stage}_us 12.5" for stage in pipeline.STAGES] + [
         "kpo.iterations 15.00", "kpo.cap_share 0.333"]
 
 

@@ -210,10 +210,8 @@ def test_two_envelope_frame_is_not_held_for_a_delayed_ack(server):
 
 
 def test_registry_the_pipeline_rejects_is_refused_at_start():
-    bad = pipeline.PipelineConfig(
-        predictor="heuristic", use_keypoints=False, use_fusion=False, filter_min_cutoff=0.0,
-    )
-    with pytest.raises(ValueError, match="'bad'"):
+    bad = pipeline.PipelineConfig(predictor="replay")  # no replay_file
+    with pytest.raises(ValueError, match="'bad': replay predictor needs replay_file"):
         net.Server(("127.0.0.1", 0), {**REGISTRY, "bad": bad})
     srv = net.Server(("127.0.0.1", 0), REGISTRY)
     client = _client(srv)
@@ -368,9 +366,10 @@ def _send_quietly(sock, data):
         sock.sendall(data)
 
 
-def test_close_ends_a_connection_whose_peer_does_not_read():
+def test_close_ends_a_connection_whose_peer_does_not_read(monkeypatch):
     """A handler blocked writing to a peer that never reads is ended too,
     once the grace period for the frame in hand has passed."""
+    monkeypatch.setattr(net, "_DRAIN_TIMEOUT", 0.2)  # the test waits it out
     before = set(threading.enumerate())
     srv = net.Server(("127.0.0.1", 0), REGISTRY)
     sock = socket.socket()
@@ -509,6 +508,28 @@ def test_envelope_refuses_a_payload_over_the_limit():
         net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(net.MAX_PAYLOAD + 1))
 
 
+# seconds the u64-microsecond timestamp field cannot carry
+UNCARRIED_TIMESTAMPS = [np.nan, np.inf, -np.inf, -1e-6, 2.0**64 / 1e6]
+
+
+@pytest.mark.parametrize("t", UNCARRIED_TIMESTAMPS)
+def test_envelope_refuses_a_timestamp_the_field_cannot_carry(t):
+    with pytest.raises(ValueError, match="u64-microsecond"):
+        net.Envelope(net.Kind.PING, bytes(16), 0, t)
+
+
+def test_timestamp_field_round_trips_to_its_ends():
+    for t in (0.0, -4e-7, 1.5, 18446744073709.547):  # -4e-7 s rounds to 0 µs
+        raw = net.encode(net.Envelope(net.Kind.PING, bytes(16), 0, t))
+        assert struct.unpack_from("<Q", raw, 29)[0] == round(t * 1e6)
+    # the largest fields decode to seconds a reply can carry back
+    header = net.encode(net.Envelope(net.Kind.PING, bytes(16), 0, 0.0))[:net.HEADER_LEN]
+    for micros in (2**64 - 4096, 2**64 - 1):
+        body = header[:29] + struct.pack("<Q", micros) + header[37:]
+        env = net.decode(body + struct.pack("<I", zlib.crc32(body)))
+        assert net.decode(net.encode(env)) == env
+
+
 def test_refused_connection_is_closed_by_the_server(server):
     sock = socket.create_connection(server.address, timeout=TIMEOUT)
     try:
@@ -555,6 +576,28 @@ def test_malformed_hmd_frame_is_refused(server, walk):
     for bad in (good[:-1], good + bytes(8), b""):
         with pytest.raises(ValueError):
             net.decode_hmd_payload(bad)
+
+
+@pytest.mark.parametrize("t", UNCARRIED_TIMESTAMPS)
+def test_a_device_timestamp_the_wire_cannot_carry_is_refused(server, walk, t):
+    """The reply to such a frame could not carry its time: the frame is
+    refused as malformed, and another session keeps answering."""
+    other = _client(server)
+    client = _client(server)
+    try:
+        other.hello(MODEL)
+        devices = [dataclasses.replace(d, timestamp=t)
+                   for d in (walk.head[0], walk.left[0], walk.right[0])]
+        _hello_then(client, net.Kind.HMD_FRAME, net.encode_hmd_payload(*devices))
+        assert _error_code(client) == net.ERR_PROTOCOL
+        for i in range(3):
+            other.send_hmd(walk.head[i], walk.left[i], walk.right[i])
+            assert other.recv().kind == net.Kind.POSE_RESULT
+    finally:
+        client.close()
+        other.close()
+    with pytest.raises(ValueError, match="u64-microsecond"):
+        net.decode_hmd_payload(net.encode_hmd_payload(*devices))
 
 
 def test_malformed_keypoint_frame_is_refused(server):

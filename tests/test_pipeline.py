@@ -4,19 +4,20 @@ import json
 import numpy as np
 import pytest
 
-from epvr import cli, core, eval as evalmod, kpo, neural, pipeline, replayfile
+from epvr import cli, core, eval as evalmod, kpo, neural, pipeline, refine, replayfile
 from epvr.errors import NonFiniteInput, ShapeError
 from epvr.filtering import VectorFilterBank
 
 import oracles
 
 WINDOW = 5
-REFINE = dict(refine_min_cutoff=2.0, refine_beta=0.1, refine_d_cutoff=1.5)
-DECAY = 0.8
 
 
 class RecordingPredictor:
-    """Rest pose for every frame; keeps a copy of each keypoints argument."""
+    """Rest pose for every frame from a WINDOW-frame window; keeps a copy of
+    each keypoints argument."""
+
+    window = WINDOW
 
     def __init__(self):
         self.seen = []
@@ -28,8 +29,7 @@ class RecordingPredictor:
 
 def _session(**overrides):
     cfg = pipeline.PipelineConfig(
-        predictor="heuristic", window=WINDOW, use_fusion=False, use_filter=False,
-        use_kpo=False, missing_zeta_decay=DECAY, **REFINE, **overrides,
+        predictor="heuristic", use_fusion=False, use_filter=False, use_kpo=False, **overrides,
     )
     recorder = RecordingPredictor()
     return pipeline.PipelineSession(cfg, predictor=recorder), recorder
@@ -44,14 +44,14 @@ def _walk(frames):
 def _expected(seq, z, zeta, present, normalized=False):
     """Refined window per frame from a visibility filter bank run over the
     carried-over visibility stream; None until keypoints first arrive."""
-    bank = VectorFilterBank(seq.tree.joint_count, 2.0, 0.1, 1.5)
+    bank = VectorFilterBank(seq.tree.joint_count)
     rows, out = [], []
     last_z = carry = None
     for i in range(seq.frame_count):
         if present[i]:
             last_z, carry = z[i], zeta[i]
         elif last_z is not None:
-            carry = carry * DECAY
+            carry = carry * refine.MISSING_ZETA_DECAY
         if last_z is None:
             out.append(None)
             continue
@@ -120,11 +120,15 @@ def test_keypoint_stage_off_passes_none():
 def _custom_config():
     return pipeline.PipelineConfig(
         predictor="heuristic", use_keypoints=True, use_refine_normalized=True,
-        use_fusion=False, use_filter=False, window=12,
-        kpo=kpo.KpoConfig(lambda_a=2.0, max_iterations=7, energy_tolerance=1e-4),
-        filter_min_cutoff=0.5, filter_beta=0.2, refine_d_cutoff=3.0,
-        weights_path="w.bin", replay_file="r.jsonl", missing_zeta_decay=0.7,
+        use_fusion=False, use_filter=False, weights_path="w.bin", replay_file="r.jsonl",
     )
+
+
+def test_config_holds_only_the_settings_a_caller_sets():
+    assert [f.name for f in dataclasses.fields(pipeline.PipelineConfig)] == [
+        "predictor", "use_keypoints", "use_refine_normalized", "use_fusion", "use_filter",
+        "use_kpo", "weights_path", "replay_file",
+    ]
 
 
 def test_config_round_trips_through_json():
@@ -137,21 +141,26 @@ def test_config_round_trips_through_json():
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="use_kpo_"):
         pipeline.PipelineConfig.from_dict({"use_kpo_": False})
-    with pytest.raises(ValueError, match="max_iters"):
-        pipeline.PipelineConfig.from_dict({"kpo": {"max_iters": 3}})
-    # settings that were removed: the KPO anchors come from the tree, and
-    # random weights always use seed 0
-    with pytest.raises(ValueError, match="observed"):
-        pipeline.PipelineConfig.from_dict({"kpo": {"observed": [15, 20, 21]}})
+    # settings that were removed: random weights always use seed 0
     for key in ("prediction_noise_sigma", "prediction_noise_seed", "weights_seed"):
         with pytest.raises(ValueError, match=key):
             pipeline.PipelineConfig.from_dict({key: 1})
 
 
+def test_config_refuses_the_keys_that_became_constants_by_name():
+    # the window is the predictor's own, the rest are fixed parameters
+    removed = ["window", "kpo", "filter_min_cutoff", "filter_beta", "filter_d_cutoff",
+               "refine_min_cutoff", "refine_beta", "refine_d_cutoff", "missing_zeta_decay"]
+    doc = {**pipeline.PipelineConfig().to_dict(), **dict.fromkeys(removed, 1)}
+    with pytest.raises(ValueError) as refused:
+        pipeline.PipelineConfig.from_dict(doc)
+    assert str(refused.value) == f"unknown PipelineConfig keys: {sorted(removed)}"
+
+
 def test_config_refuses_the_removed_kpo_step_size():
-    # the local-global KPO solve takes unit steps; a config that sets the
-    # old gradient step is refused rather than silently ignored
-    with pytest.raises(ValueError, match="step_size"):
+    # the local-global KPO solve takes unit steps and fixed weights; a config
+    # that sets the old gradient step is refused rather than silently ignored
+    with pytest.raises(ValueError, match="'kpo'"):
         pipeline.PipelineConfig.from_dict({"kpo": {"step_size": 0.1}})
 
 
@@ -163,7 +172,7 @@ def test_kpo_stops_at_its_tolerance_on_an_hmd_only_walk():
     reports = [session.process_frame(seq.head[i], seq.left[i], seq.right[i]).kpo
                for i in range(seq.frame_count)]
     iterations = np.array([r.iterations for r in reports])
-    assert np.mean(iterations >= config.kpo.max_iterations) == 0.0  # cap share
+    assert np.mean(iterations >= kpo.KpoConfig().max_iterations) == 0.0  # cap share
     assert np.all(iterations >= 1) and not any(r.diverged for r in reports)
     off = pipeline.PipelineSession(dataclasses.replace(config, use_kpo=False))
     assert off.process_frame(seq.head[0], seq.left[0], seq.right[0]).kpo is None
@@ -172,7 +181,6 @@ def test_kpo_stops_at_its_tolerance_on_an_hmd_only_walk():
 def test_ablation_changes_only_the_named_stage():
     cfg = _custom_config()
     ablated = cli.apply_ablation(cfg, ["filter", "kpo"])
-    assert ablated.kpo == cfg.kpo
     assert ablated == pipeline.PipelineConfig(
         **{**cfg.__dict__, "use_filter": False, "use_kpo": False}
     )
@@ -227,8 +235,7 @@ def _chain_tree():
 @pytest.mark.parametrize("predictor", ["neural", "heuristic"])
 def test_session_takes_the_skeleton_size_from_its_tree(predictor):
     tree = _chain_tree()
-    cfg = pipeline.PipelineConfig(predictor=predictor, use_fusion=predictor == "neural",
-                                  window=WINDOW)
+    cfg = pipeline.PipelineConfig(predictor=predictor, use_fusion=predictor == "neural")
     session = pipeline.PipelineSession(cfg, tree)
     seq, _, _ = _walk(3)
     kp = (np.zeros((4, 3)), np.ones(4))
@@ -246,12 +253,12 @@ def test_session_refuses_a_tree_without_a_tracked_joint():
         pipeline.PipelineSession(cfg, tree)
 
 
-@pytest.mark.parametrize("field,value", [("window", 7), ("joints", 5), ("keypoint_dim", 15)])
+@pytest.mark.parametrize("field,value", [("joints", 5), ("keypoint_dim", 15)])
 def test_weights_that_do_not_fit_the_tree_are_refused(tmp_path, field, value):
     net_cfg = neural.NetConfig(**{"window": WINDOW, field: value})
     path = tmp_path / "weights.epvr"
     neural.save_weights(path, *neural.init_weights(net_cfg, 0), net_cfg)
-    cfg = pipeline.PipelineConfig(window=WINDOW, weights_path=str(path))
+    cfg = pipeline.PipelineConfig(weights_path=str(path))
     with pytest.raises(ValueError, match=f"weights built for {field} {value}"):
         pipeline.build_predictor(cfg, core.default_tree())
 
@@ -261,9 +268,39 @@ def test_weights_that_fit_the_tree_are_used(tmp_path):
     path = tmp_path / "weights.epvr"
     neural.save_weights(path, *neural.init_weights(net_cfg, 3), net_cfg)
     predictor = pipeline.build_predictor(
-        pipeline.PipelineConfig(window=WINDOW, weights_path=str(path)), core.default_tree()
+        pipeline.PipelineConfig(weights_path=str(path)), core.default_tree()
     )
     assert predictor.net_cfg == net_cfg
+
+
+def test_weights_built_for_another_window_are_served_with_it(tmp_path):
+    net_cfg = neural.NetConfig(window=7)
+    path = tmp_path / "weights.epvr"
+    neural.save_weights(path, *neural.init_weights(net_cfg, 0), net_cfg)
+    cfg = pipeline.PipelineConfig(weights_path=str(path))
+    predictor = pipeline.build_predictor(cfg, core.default_tree())
+    assert predictor.window == 7
+    seen = []  # (descriptor frames, keypoint frames) of each call
+    predict = predictor.predict
+
+    def recording(window, keypoints):
+        seen.append((len(window.frames), len(keypoints)))
+        return predict(window, keypoints)
+
+    predictor.predict = recording
+    session = pipeline.PipelineSession(cfg, predictor=predictor)
+    seq, z, zeta = _walk(10)
+    _drive(session, seq, z, zeta, [True] * seq.frame_count)
+    assert seen == [(7, min(i + 1, 7)) for i in range(10)]
+
+
+@pytest.mark.parametrize("predictor,window", [("heuristic", 1), ("neural", 40)])
+def test_session_windows_are_the_predictors(predictor, window):
+    cfg = pipeline.PipelineConfig(predictor=predictor)
+    session = pipeline.PipelineSession(cfg)
+    assert session.predictor.window == window
+    assert session._window.frames.shape[0] == window
+    assert session._keypoints.refined.shape[0] == window
 
 
 # --- rejected frames -------------------------------------------------------------
@@ -296,7 +333,7 @@ def _nan_timestamp(head, left, right, kp):
 ])
 def test_a_rejected_frame_leaves_the_session_unchanged(spoil, predictor, error):
     seq, z, zeta = _walk(61)
-    cfg = pipeline.PipelineConfig(predictor=predictor, window=WINDOW)
+    cfg = pipeline.PipelineConfig(predictor=predictor)
     clean = pipeline.PipelineSession(cfg)
     probed = pipeline.PipelineSession(cfg)
 

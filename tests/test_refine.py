@@ -133,16 +133,18 @@ def test_returned_window_is_a_copy():
 
 
 def test_missing_frames_reuse_positions_with_decayed_visibility():
-    stream = refine.KeypointStream(2, 8, missing_zeta_decay=0.5)
+    stream = refine.KeypointStream(2, 8)
     assert refine.refine(stream, 0.0) is None  # nothing to carry yet
     z = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
     zeta = np.array([1.0, 0.8])
-    with_kp = refine.KeypointStream(2, 8, missing_zeta_decay=0.5)
+    with_kp = refine.KeypointStream(2, 8)
     refine.refine(stream, 0.1, (z, zeta))
     refine.refine(with_kp, 0.1, (z, zeta))
-    for i, t in enumerate((0.2, 0.3, 0.4), start=1):
+    carried = zeta
+    for t in (0.2, 0.3, 0.4):
+        carried = carried * refine.MISSING_ZETA_DECAY
         got = refine.refine(stream, t)
-        want = refine.refine(with_kp, t, (z, zeta * 0.5 ** i))
+        want = refine.refine(with_kp, t, (z, carried))
         assert np.array_equal(got, want)
 
 
