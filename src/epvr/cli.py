@@ -162,6 +162,9 @@ def cmd_bench(args) -> int:
     # the median over every frame of every run: a descheduled frame moves a mean
     stage_us = {stage: float(np.median(np.concatenate([stages[stage] for _, stages, _ in runs])))
                 for stage in pipeline.STAGES}
+    # the spread over runs: the lowest and highest per-run median
+    spread = {stage: [f(float(np.median(stages[stage])) for _, stages, _ in runs)
+                      for f in (min, max)] for stage in pipeline.STAGES}
     its = np.concatenate([run[2] for run in runs])  # KPO iterations of every frame
     kpo = {"iterations": float(np.mean(its)), "cap_share": float(np.mean(
         its >= KpoConfig().max_iterations))} if config.use_kpo else None
@@ -171,12 +174,13 @@ def cmd_bench(args) -> int:
             "frames": args.frames,
             "fps": {"runs": fps_runs, "mean": mean, "std": std},
             "stage_us": stage_us,
+            "stage_spread_us": spread,
             "kpo": kpo,
         }, indent=2))
         return 0
     print(f"fps {mean:.1f} ± {std:.1f}  ({args.runs} runs x {args.frames} frames)")
-    for stage in pipeline.STAGES:
-        print(f"stage.{stage}_us {stage_us[stage]:.1f}")
+    for stage, (low, high) in spread.items():
+        print(f"stage.{stage}_us {stage_us[stage]:.1f} (runs {low:.1f}-{high:.1f})")
     if kpo:
         print(f"kpo.iterations {kpo['iterations']:.2f}\nkpo.cap_share {kpo['cap_share']:.3f}")
     return 0

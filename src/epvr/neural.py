@@ -16,14 +16,20 @@ per-token MLP heads decode the root and the J - 1 local 6D rotations.
 The joint count J (NetConfig.joints) and the keypoint width 3 J come from
 the kinematic tree the pipeline runs on.
 
-Weights file: magic "EPVR", version byte, tensor directory, float32
-payload, trailing CRC-32.
+Inference runs a Plan built once per model from the weight dataclasses: both
+encoders as one (2, T, d) array, one (d, 3d) Q|K|V matmul per attention with
+the norm's gain and bias and 1/sqrt(head_dim) folded in, and one query in the
+last frame layer. It matches the unfolded forward pass within 1e-12.
+
+Weights file (unchanged by the plan): magic "EPVR", version byte, tensor
+directory, float32 payload, trailing CRC-32.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from collections import namedtuple
 from dataclasses import astuple, dataclass, fields
 
 import numpy as np
@@ -124,30 +130,17 @@ class FusionWeights:
     dec_local_b2: np.ndarray
 
 
-def layer_norm(x, gamma, beta):
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + _LN_EPS) * gamma + beta
+def softmax(scores, axis):
+    """Softmax over `axis`, in place: one scores-sized array is live per attention."""
+    scores -= scores.max(axis=axis, keepdims=True)
+    np.exp(scores, out=scores)
+    return np.divide(scores, scores.sum(axis=axis, keepdims=True), out=scores)
 
 
-def softmax(scores):
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
-
-
-def multi_head_attention(q_in, kv_in, w, heads):
-    """Standard scaled dot-product attention with the projections of w (a
-    LayerWeights or FusionWeights); returns (n_q, S)."""
-    nq, dim = q_in.shape
-    nk = kv_in.shape[0]
-    head_dim = dim // heads
-    q = (q_in @ w.wq + w.bq).reshape(nq, heads, head_dim).transpose(1, 0, 2)
-    k = (kv_in @ w.wk + w.bk).reshape(nk, heads, head_dim).transpose(1, 0, 2)
-    v = (kv_in @ w.wv + w.bv).reshape(nk, heads, head_dim).transpose(1, 0, 2)
-    scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
-    mixed = (softmax(scores) @ v).transpose(1, 0, 2).reshape(nq, dim)
-    return mixed @ w.wo + w.bo
+def attention(q, k, v):
+    """Attention of q (..., n_q, h), scaled already, over k and v (..., n_k, h). The
+    scores are keys by queries: numpy reduces the last axis row by row, others at once."""
+    return softmax(k @ q.swapaxes(-1, -2), axis=-2).swapaxes(-1, -2) @ v
 
 
 def _mlp(x, w1, b1, w2, b2):
@@ -155,54 +148,116 @@ def _mlp(x, w1, b1, w2, b2):
     return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
 
 
-def _block(x, w, heads, norm, ff_norm, context=None):
-    """Pre-norm residual block: x attends over context (a normalized
-    feature map; x's own normalized tokens when None), then a feed-forward.
-    norm and ff_norm are the (gain, bias) pairs of the two layer norms."""
-    h = layer_norm(x, *norm)
-    x = x + multi_head_attention(h, h if context is None else context, w, heads)
-    return x + _mlp(layer_norm(x, *ff_norm), w.ff_w1, w.ff_b1, w.ff_w2, w.ff_b2)
-
-
 def _check_finite(x, stage):
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NonFiniteActivation(f"non-finite values after {stage}")
+
+
+# One pre-norm block as the plan runs it, a leading stream axis on each array: the
+# norms folded into qkv, bqkv (attention) and w1, b1 (feed-forward); Q carries 1/sqrt(h).
+_Folded = namedtuple("_Folded", "qkv bqkv wo bo w1 b1 w2 b2")
+
+
+def _fold(w, heads, norm=None, ff_norm=None):
+    """One stream's _Folded arrays (biases as (1, n) rows) of block w; the norms are
+    (gain, bias) pairs, a LayerWeights' own by default."""
+    (g, b), (ff_g, ff_b) = norm or (w.ln1_g, w.ln1_b), ff_norm or (w.ln2_g, w.ln2_b)
+    scale = np.repeat([1.0 / np.sqrt(len(w.wq) // heads), 1.0, 1.0], len(w.wq))
+    qkv = np.concatenate([w.wq, w.wk, w.wv], axis=1) * scale
+    bqkv = np.concatenate([w.bq, w.bk, w.bv]) * scale
+    return (g[:, None] * qkv, (b @ qkv + bqkv)[None], w.wo, w.bo[None],
+            ff_g[:, None] * w.ff_w1, (ff_b @ w.ff_w1 + w.ff_b1)[None], w.ff_w2, w.ff_b2[None])
+
+
+def _normalize(x, mean):
+    """x over its last axis, centred and scaled to unit variance; mean is (d, 1) of 1/d."""
+    c = x - x @ mean
+    return c / np.sqrt((c * c) @ mean + _LN_EPS)
+
+
+def _block(x, w: _Folded, heads, mean, rows=slice(0, None), cross=False):
+    """Pre-norm residual block over streams x (S, T, d): tokens `rows` attend over
+    their stream's tokens (cross: stream 0's over stream 1's), then a feed-forward."""
+    s, t, d = x.shape
+    qkv = _normalize(x, mean) @ w.qkv
+    qkv += w.bqkv
+    q, k, v = qkv.reshape(s, t, 3, heads, d // heads).transpose(2, 0, 3, 1, 4)
+    if cross:
+        q, k, v, x = q[:1], k[1:], v[1:], x[:1]
+    x = x[:, rows]
+    x = x + attention(q[:, :, rows], k, v).transpose(0, 2, 1, 3).reshape(x.shape) @ w.wo + w.bo
+    return x + _mlp(_normalize(x, mean), w.w1, w.b1, w.w2, w.b2)
+
+
+class Plan:
+    """Folded, stream-stacked encoder layers and fusion block. The summary MLPs and
+    joint embeddings are referenced; no per-call state, so sessions may share it."""
+
+    def __init__(self, encoders, heads, fusion: FusionWeights | None = None):
+        self.encoders, self.heads = encoders, heads
+        d = (encoders[0].embed_w if encoders else fusion.wo).shape[1]
+        self._mean = np.full((d, 1), 1.0 / d)
+        stacks = [[_Folded(*map(np.stack, zip(*(_fold(lw, heads) for lw in group))))
+                   for group in zip(*(getattr(w, name) for w in encoders))]
+                  for name in ("frame_layers", "joint_layers")]
+        # (frame layers, joint layers) of all streams, and of each stream alone
+        self._layers = {tuple(range(len(encoders))): stacks}
+        for i in range(len(encoders)):
+            self._layers[(i,)] = [[_Folded(*(a[i:i + 1] for a in f)) for f in part]
+                                  for part in stacks]
+        if fusion is not None:  # stream 0 the queries' Q|K|V, stream 1 the keys' and values'
+            q, kv = (_fold(fusion, heads, norm, (fusion.ln_ff_g, fusion.ln_ff_b)) for norm in (
+                (fusion.ln_q_g, fusion.ln_q_b), (fusion.ln_kv_g, fusion.ln_kv_b)))
+            self._fusion = _Folded(*map(np.stack, zip(q[:2], kv[:2])), *q[2:])
+
+    def encode(self, windows):
+        """(S, joints, d) features of one (T, D) window per encoder. The streams' frame
+        layers run together when their windows have one length (not while the keypoint
+        window fills); the last computes only the newest token, with K and V over all."""
+        windows = [np.asarray(win, dtype=np.float64) for win in windows]
+        for win, w in zip(windows, self.encoders):
+            if win.ndim != 2 or win.shape[1] != len(w.embed_w) or not 1 <= len(win) <= len(w.pos):
+                raise ShapeError(f"window {win.shape} does not fit {len(w.embed_w)}-D frames, "
+                                 f"1..{len(w.pos)} of them")
+        streams = tuple(range(len(windows)))
+        tops = []
+        for group in [streams] if len({len(w) for w in windows}) == 1 else [(i,) for i in streams]:
+            x = np.stack([windows[i] @ self.encoders[i].embed_w + self.encoders[i].embed_b
+                          + self.encoders[i].pos[:len(windows[i])] for i in group])
+            _check_finite(x, "embedding")
+            layers = self._layers[group][0]
+            for depth, w in enumerate(layers, 1):
+                x = _block(x, w, self.heads, self._mean, slice(-1 if depth == len(layers) else 0, None))
+            tops.append(x[:, -1])
+        tops = np.concatenate(tops)
+        _check_finite(tops, "frame encoder")
+        joints = np.stack([
+            _mlp(top, w.summary_w1, w.summary_b1, w.summary_w2, w.summary_b2).reshape(
+                w.joint_embed.shape) + w.joint_embed for top, w in zip(tops, self.encoders)])
+        _check_finite(joints, "joint summary")
+        for w in self._layers[streams][1]:
+            joints = _block(joints, w, self.heads, self._mean)
+        _check_finite(joints, "joint encoder")
+        return joints
+
+    def fuse(self, features):
+        """Motion features features[0] attend over visual features[1]: (J, d)."""
+        out = _block(features, self._fusion, self.heads, self._mean, cross=True)[0]
+        _check_finite(out, "fusion")
+        return out
 
 
 def spatiotemporal_encode(window, w: EncoderWeights, heads: int):
     """Encode a (T, D) temporal stack into (joints, model_dim) features."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2:
-        raise ShapeError(f"window must be 2-D, got shape {window.shape}")
-    t, d = window.shape
-    if d != w.embed_w.shape[0]:
-        raise ShapeError(f"window dim {d} does not match embedding dim {w.embed_w.shape[0]}")
-    if t < 1 or t > w.pos.shape[0]:
-        raise ShapeError(f"window length {t} outside 1..{w.pos.shape[0]}")
-    x = window @ w.embed_w + w.embed_b + w.pos[:t]
-    _check_finite(x, "embedding")
-    for lw in w.frame_layers:
-        x = _block(x, lw, heads, (lw.ln1_g, lw.ln1_b), (lw.ln2_g, lw.ln2_b))
-    _check_finite(x, "frame encoder")
-    summary = _mlp(x[-1], w.summary_w1, w.summary_b1, w.summary_w2, w.summary_b2)
-    joints = summary.reshape(w.joint_embed.shape) + w.joint_embed
-    _check_finite(joints, "joint summary")
-    for lw in w.joint_layers:
-        joints = _block(joints, lw, heads, (lw.ln1_g, lw.ln1_b), (lw.ln2_g, lw.ln2_b))
-    _check_finite(joints, "joint encoder")
-    return joints
+    return Plan([w], heads).encode([window])[0]
 
 
 def cross_attention_fuse(m, n, w: FusionWeights, heads: int):
     """Let motion features m attend over visual features n; shape preserved."""
-    m = np.asarray(m, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
+    m, n = (np.asarray(a, dtype=np.float64) for a in (m, n))
     if m.shape != n.shape or m.ndim != 2:
         raise ShapeError(f"feature maps must share (J, S) shape, got {m.shape} and {n.shape}")
-    out = _block(m, w, heads, (w.ln_q_g, w.ln_q_b), (w.ln_ff_g, w.ln_ff_b),
-                 context=layer_norm(n, w.ln_kv_g, w.ln_kv_b))
-    _check_finite(out, "fusion")
-    return out
+    return Plan([], heads, w).fuse(np.stack([m, n]))
 
 
 def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:

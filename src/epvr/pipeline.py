@@ -7,8 +7,9 @@ are identity pass-throughs with zero latency):
     -> one-Euro position filter -> kinematic pose optimization
 
 Predictor backends behind one contract: predict(window, keypoints) returns
-a FullBodyPose, and `window`, the number of descriptor frames it reads,
-sizes the session's descriptor and keypoint windows.
+a FullBodyPose; `window`, the number of descriptor frames it reads, sizes
+the session's descriptor and keypoint windows; and `reads_keypoints` says
+whether it reads the refined keypoints at all (refine runs only if so).
 
 * neural:    the toy-scale dual-stream encoders + fusion + decoders
 * replay:    ground-truth rotations looked up from an annotated motion file
@@ -73,33 +74,30 @@ STAGES = ("descriptor", "refine", "predict", "fk", "filter", "kpo")
 
 
 class NeuralPredictor:
-    """Dual-stream encode, optional cross-attention fusion, MLP decode."""
+    """Dual-stream encode, optional fusion, MLP decode, run as one neural.Plan."""
 
     def __init__(self, motion_w, visual_w, fusion_w, net_cfg: neural.NetConfig,
                  use_fusion: bool = True):
-        self.motion_w = motion_w
-        self.visual_w = visual_w
-        self.fusion_w = fusion_w
-        self.net_cfg = net_cfg
-        self.use_fusion = use_fusion
-
-    @property
-    def window(self):
-        return self.net_cfg.window
+        self.motion_w, self.visual_w, self.fusion_w = motion_w, visual_w, fusion_w
+        self.net_cfg, self.window = net_cfg, net_cfg.window
+        self.reads_keypoints = use_fusion
+        streams = [motion_w, visual_w] if use_fusion else [motion_w]
+        self.plan = neural.Plan(streams, net_cfg.heads, fusion_w)
 
     def predict(self, window: descriptor.DescriptorWindow, keypoints):
-        m = neural.spatiotemporal_encode(window.frames, self.motion_w, self.net_cfg.heads)
-        if self.use_fusion and keypoints is not None:
+        if self.reads_keypoints and keypoints is not None:
             flat = np.asarray(keypoints).reshape(len(keypoints), -1)
-            n = neural.spatiotemporal_encode(flat, self.visual_w, self.net_cfg.heads)
-            m = neural.cross_attention_fuse(m, n, self.fusion_w, self.net_cfg.heads)
-        return neural.decode_pose(m, self.fusion_w, self.net_cfg.joints)
+            features = self.plan.fuse(self.plan.encode([window.frames, flat]))
+        else:
+            features = self.plan.encode([window.frames])[0]
+        return neural.decode_pose(features, self.fusion_w, self.net_cfg.joints)
 
 
 class ReplayPredictor:
     """Ground-truth rotations looked up by timestamp from an annotated file."""
 
     window = 1  # reads only the window's end timestamp
+    reads_keypoints = False
 
     def __init__(self, records):
         self._times = np.array([t for t, _ in records])
@@ -128,6 +126,7 @@ class HeuristicPredictor:
     """Rest pose whose root yaw follows the headset heading."""
 
     window = 1  # reads only the newest frame
+    reads_keypoints = False
 
     def __init__(self, tree: core.KinematicTree):
         self._locals = np.tile(core.IDENTITY_6D, (tree.joint_count - 1, 1))
@@ -185,6 +184,8 @@ class PipelineSession:
         self._window = descriptor.DescriptorWindow(self.predictor.window)
         self._keypoints = refine.KeypointStream(j, self.predictor.window)
         self._refine_fn = refine.refine_normalized if config.use_refine_normalized else refine.refine
+        if not (config.use_keypoints and self.predictor.reads_keypoints):
+            self._refine_fn = None  # nothing reads refined keypoints; they are still validated
         self._pos_filter = VectorFilterBank(3 * j) if config.use_filter else None
         self._kpo_solver = kpo.KpoSolver(kpo.KpoConfig(), self.tree, self._tracked)
 
@@ -202,7 +203,7 @@ class PipelineSession:
         latencies["descriptor"] = (time.perf_counter_ns() - t_start) / 1e3
 
         refined = None
-        if cfg.use_keypoints:
+        if self._refine_fn is not None:
             t0 = time.perf_counter_ns()
             refined = self._refine_fn(self._keypoints, head.timestamp, keypoints)
             latencies["refine"] = (time.perf_counter_ns() - t0) / 1e3

@@ -258,3 +258,71 @@ def kpo_gradient_descent(initial, anchors, parent, cfg, iterations, step_size=0.
         p, energy = candidate, cand_energy
         trial = min(2.0 * step, step_size)
     return p, energy
+
+
+# --- network forward pass ----------------------------------------------------
+# The unfolded forward pass: every layer norm, projection and head computed
+# as written in the architecture, each stream encoded on its own.
+
+
+def layer_norm(x, gamma, beta, eps=1e-5):
+    mean = x.mean(axis=-1, keepdims=True)
+    var = x.var(axis=-1, keepdims=True)
+    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+
+
+def softmax(scores):
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def multi_head_attention(q_in, kv_in, w, heads):
+    """Scaled dot-product attention with separate Q, K and V projections."""
+    nq, dim = q_in.shape
+    nk = kv_in.shape[0]
+    head_dim = dim // heads
+    q = (q_in @ w.wq + w.bq).reshape(nq, heads, head_dim).transpose(1, 0, 2)
+    k = (kv_in @ w.wk + w.bk).reshape(nk, heads, head_dim).transpose(1, 0, 2)
+    v = (kv_in @ w.wv + w.bv).reshape(nk, heads, head_dim).transpose(1, 0, 2)
+    scores = q @ k.transpose(0, 2, 1) / np.sqrt(head_dim)
+    mixed = (softmax(scores) @ v).transpose(1, 0, 2).reshape(nq, dim)
+    return mixed @ w.wo + w.bo
+
+
+def mlp(x, w1, b1, w2, b2):
+    return np.maximum(x @ w1 + b1, 0.0) @ w2 + b2
+
+
+def residual_block(x, w, heads, norm, ff_norm, context=None):
+    """Pre-norm attention (over `context` when given) and feed-forward."""
+    h = layer_norm(x, *norm)
+    x = x + multi_head_attention(h, h if context is None else context, w, heads)
+    return x + mlp(layer_norm(x, *ff_norm), w.ff_w1, w.ff_b1, w.ff_w2, w.ff_b2)
+
+
+def encode(window, w, heads):
+    """(T, D) window -> (joints, model_dim) features of one stream."""
+    x = window @ w.embed_w + w.embed_b + w.pos[:len(window)]
+    for lw in w.frame_layers:
+        x = residual_block(x, lw, heads, (lw.ln1_g, lw.ln1_b), (lw.ln2_g, lw.ln2_b))
+    summary = mlp(x[-1], w.summary_w1, w.summary_b1, w.summary_w2, w.summary_b2)
+    joints = summary.reshape(w.joint_embed.shape) + w.joint_embed
+    for lw in w.joint_layers:
+        joints = residual_block(joints, lw, heads, (lw.ln1_g, lw.ln1_b), (lw.ln2_g, lw.ln2_b))
+    return joints
+
+
+def network_rotations(motion, visual, fusion, heads, frames, keypoints=None):
+    """Raw 6D rotations (J, 6) of the motion window `frames`, fused with the
+    flattened keypoint window `keypoints` when given."""
+    m = encode(frames, motion, heads)
+    if keypoints is not None:
+        n = encode(keypoints, visual, heads)
+        m = residual_block(m, fusion, heads, (fusion.ln_q_g, fusion.ln_q_b),
+                           (fusion.ln_ff_g, fusion.ln_ff_b),
+                           context=layer_norm(n, fusion.ln_kv_g, fusion.ln_kv_b))
+    root = mlp(m[0], fusion.dec_root_w1, fusion.dec_root_b1, fusion.dec_root_w2,
+               fusion.dec_root_b2)
+    local = mlp(m[1:], fusion.dec_local_w1, fusion.dec_local_b1, fusion.dec_local_w2,
+                fusion.dec_local_b2)
+    return np.vstack([root, local])

@@ -66,7 +66,7 @@ def test_bench_json_reports_every_run_and_stage(capsys):
     assert cli.main(["bench", "--frames", "20", "--runs", "1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["fps"]["runs"]) == 1 and doc["fps"]["mean"] == doc["fps"]["runs"][0]
-    assert set(doc["stage_us"]) == set(pipeline.STAGES)
+    assert set(doc["stage_us"]) == set(doc["stage_spread_us"]) == set(pipeline.STAGES)
     assert set(doc["kpo"]) == {"iterations", "cap_share"}
     assert 0 < doc["kpo"]["iterations"] <= kpo.KpoConfig().max_iterations
     assert 0 <= doc["kpo"]["cap_share"] <= 1
@@ -87,12 +87,14 @@ def test_bench_reports_stage_medians_over_every_frame(capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc["fps"]["runs"] == [100.0, 200.0, 300.0] and doc["fps"]["mean"] == 200.0
     assert doc["stage_us"] == dict.fromkeys(pipeline.STAGES, 12.5)
+    # per-run medians 10.5, 12 and 60
+    assert doc["stage_spread_us"] == dict.fromkeys(pipeline.STAGES, [10.5, 60.0])
     assert doc["kpo"] == {"iterations": 15.0, "cap_share": 2 / 6}
     three_runs()
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("fps 200.0 ")
-    assert lines[1:] == [f"stage.{stage}_us 12.5" for stage in pipeline.STAGES] + [
+    assert lines[1:] == [f"stage.{stage}_us 12.5 (runs 10.5-60.0)" for stage in pipeline.STAGES] + [
         "kpo.iterations 15.00", "kpo.cap_share 0.333"]
 
 

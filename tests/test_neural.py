@@ -3,8 +3,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from epvr import core, neural
+from epvr import core, neural, pipeline
 from epvr.errors import BadMagic, ChecksumFailure, NonFiniteActivation, ShapeError, ShapeMismatch
+
+import oracles
 
 
 SMALL = neural.NetConfig(model_dim=16, heads=2, layers=1, window=6, joints=22,
@@ -66,9 +68,9 @@ def test_attention_rows_sum_to_one(monkeypatch):
     sink = []
     softmax = neural.softmax
 
-    def recording_softmax(scores):
-        sink.append(softmax(scores))
-        return sink[-1]
+    def recording_softmax(scores, axis=-1):
+        sink.append((softmax(scores, axis), axis))
+        return sink[-1][0]
 
     monkeypatch.setattr(neural, "softmax", recording_softmax)
     m = neural.spatiotemporal_encode(
@@ -79,23 +81,19 @@ def test_attention_rows_sum_to_one(monkeypatch):
     )
     neural.cross_attention_fuse(m, n, fusion, SMALL.heads)
     assert len(sink) == 2 * (2 * SMALL.layers) + 1
-    for probs in sink:
-        assert np.max(np.abs(probs.sum(axis=-1) - 1.0)) < 1e-6
+    for probs, axis in sink:  # axis: the keys of each query
+        assert np.max(np.abs(probs.sum(axis=axis) - 1.0)) < 1e-6
         assert np.all(probs >= 0.0)
 
 
 def test_uniform_attention_is_mean_pooling():
-    """Zero query/key projections and identity values: each token's
-    attention output is the mean of the value tokens."""
+    """Zero queries: each token's attention output is the mean of the value
+    tokens."""
     s = 8
     n_tok = 5
     rng = np.random.default_rng(6)
     x = rng.standard_normal((n_tok, s))
-    eye = np.eye(s)
-    zero = np.zeros(s)
-    w = SimpleNamespace(wq=np.zeros((s, s)), bq=zero, wk=np.zeros((s, s)), bk=zero,
-                        wv=eye, bv=zero, wo=eye, bo=zero)
-    out = neural.multi_head_attention(x, x, w, heads=1)
+    out = neural.attention(np.zeros((n_tok, s)), x, x)
     mean = x.mean(axis=0)
     for row in out:
         assert np.max(np.abs(row - mean)) < 1e-9
@@ -124,7 +122,7 @@ def test_fusion_zero_value_path_reduces_to_feed_forward():
     m = rng.standard_normal((SMALL.joints, SMALL.model_dim))
     n = np.tile(rng.standard_normal(SMALL.model_dim), (SMALL.joints, 1))
     got = neural.cross_attention_fuse(m, n, fusion, SMALL.heads)
-    h = neural.layer_norm(m, fusion.ln_ff_g, fusion.ln_ff_b)
+    h = oracles.layer_norm(m, fusion.ln_ff_g, fusion.ln_ff_b)
     want = m + np.maximum(h @ fusion.ff_w1 + fusion.ff_b1, 0.0) @ fusion.ff_w2 + fusion.ff_b2
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -190,6 +188,43 @@ def test_decode_matches_matrix_multiply_oracle():
         h = np.maximum(feats[i + 1] @ fusion.dec_local_w1 + fusion.dec_local_b1, 0.0)
         want = h @ fusion.dec_local_w2 + fusion.dec_local_b2
         assert np.max(np.abs(pose.local_rotations[i] - want)) < 1e-9
+
+
+_GAINS = {"ln1_g", "ln2_g", "ln_q_g", "ln_kv_g", "ln_ff_g"}
+
+
+def _perturbed_weights(cfg, seed):
+    """Seeded weights with non-unit layer-norm gains and non-zero biases
+    (the seeded ones are 1 and 0, under which folding them shows nothing)."""
+    rng = np.random.default_rng(seed)
+
+    def perturb(name, value):
+        if name.rsplit(".", 1)[-1] in _GAINS:
+            return 1.0 + 0.3 * rng.standard_normal(value.shape)
+        if value.ndim == 1:
+            return value + 0.2 * rng.standard_normal(value.shape)
+        return value
+
+    return [neural._map_tensors(part, prefix, perturb)
+            for prefix, part in zip(("motion", "visual", "fusion"), neural.init_weights(cfg, seed))]
+
+
+@pytest.mark.parametrize("keypoint_frames,use_fusion", [(8, True), (3, True), (8, False)],
+                         ids=["full-window", "short-keypoint-window", "fusion-off"])
+def test_plan_matches_the_unfolded_forward_pass(keypoint_frames, use_fusion):
+    cfg = neural.NetConfig(window=8)
+    motion, visual, fusion = _perturbed_weights(cfg, 40)
+    predictor = pipeline.NeuralPredictor(motion, visual, fusion, cfg, use_fusion)
+    rng = np.random.default_rng(41)
+    frames = rng.standard_normal((cfg.window, cfg.motion_dim))
+    keypoints = rng.standard_normal((keypoint_frames, cfg.joints, 3))
+    got = predictor.predict(SimpleNamespace(frames=frames), keypoints).stacked_rotations()
+    want = oracles.network_rotations(motion, visual, fusion, cfg.heads, frames,
+                                     keypoints.reshape(keypoint_frames, -1) if use_fusion else None)
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # the gains and biases move the output, so a fold that dropped them would show
+    plain = oracles.network_rotations(*neural.init_weights(cfg, 40), cfg.heads, frames)
+    assert np.max(np.abs(got - plain)) > 1e-3
 
 
 def test_determinism():

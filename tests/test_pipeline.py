@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ class RecordingPredictor:
     each keypoints argument."""
 
     window = WINDOW
+    reads_keypoints = True
 
     def __init__(self):
         self.seen = []
@@ -35,9 +38,9 @@ def _session(**overrides):
     return pipeline.PipelineSession(cfg, predictor=recorder), recorder
 
 
-def _walk(frames):
-    seq = evalmod.generate_sequence("walk", frames / 60.0, 60.0, seed=1)
-    z, zeta = evalmod.noisy_keypoints(seq, 0.01, seed=2)
+def _walk(frames, seed=1):
+    seq = evalmod.generate_sequence("walk", frames / 60.0, 60.0, seed=seed)
+    z, zeta = evalmod.noisy_keypoints(seq, 0.01, seed=seed + 1)
     return seq, z, zeta
 
 
@@ -292,6 +295,80 @@ def test_weights_built_for_another_window_are_served_with_it(tmp_path):
     seq, z, zeta = _walk(10)
     _drive(session, seq, z, zeta, [True] * seq.frame_count)
     assert seen == [(7, min(i + 1, 7)) for i in range(10)]
+
+
+def _pose_rows(session, seq, z, zeta, frames):
+    """Rotations and positions of each frame as one row; keypoints go with
+    every second frame when the session's config feeds them."""
+    rows = []
+    for i in frames:
+        kp = (z[i], zeta[i]) if session.config.use_keypoints and i % 2 == 0 else None
+        pose = session.process_frame(seq.head[i], seq.left[i], seq.right[i], kp).pose
+        rows.append(np.concatenate([pose.stacked_rotations().ravel(), pose.positions.ravel()]))
+    return np.array(rows)
+
+
+def test_a_predictor_that_reads_no_keypoints_skips_refine(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("refine ran for a predictor that reads no keypoints")
+
+    # the session binds the refine function when it is built
+    monkeypatch.setattr(refine, "refine", refuse)
+    walk = _walk(300)
+    with_keypoints = pipeline.PipelineConfig(predictor="heuristic", use_fusion=False)
+    session = pipeline.PipelineSession(with_keypoints)
+    poses = _pose_rows(session, *walk, range(300))
+    hmd_only = pipeline.PipelineSession(dataclasses.replace(with_keypoints, use_keypoints=False))
+    assert np.array_equal(poses, _pose_rows(hmd_only, *walk, range(300)))
+    assert hashlib.sha256(poses.tobytes()).hexdigest().startswith("c363b78b")
+    # keypoints are still validated: a bad frame is refused
+    seq, z, zeta = walk
+    with pytest.raises(ShapeError):
+        session.process_frame(seq.head[0], seq.left[0], seq.right[0], (z[0], zeta[0][:5]))
+
+
+def test_sessions_sharing_a_predictor_equal_lone_sessions():
+    cfg = pipeline.PipelineConfig()
+    shared = pipeline.build_predictor(cfg, core.default_tree())
+    walks = _walk(60), _walk(60, seed=2)
+    # 60 frames: the keypoint window fills over the first 39, then stays full
+    sessions = [pipeline.PipelineSession(cfg, predictor=shared) for _ in walks]
+    interleaved = [[], []]
+    for i in range(60):
+        for rows, session, walk in zip(interleaved, sessions, walks):
+            rows.append(_pose_rows(session, *walk, [i])[0])
+    for rows, walk in zip(interleaved, walks):
+        assert np.array_equal(np.array(rows), _pose_rows(pipeline.PipelineSession(cfg), *walk,
+                                                         range(60)))
+
+
+@pytest.mark.parametrize("config,ceiling", [
+    (pipeline.PipelineConfig(), 700),
+    (pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False), 660),
+], ids=["default", "hmd-only"])
+def test_python_calls_per_frame_stay_under_their_ceiling(config, ceiling):
+    """Python-level calls (call and c_call events) per frame over 100 frames
+    after 60 warm-up frames. The count is deterministic, so it shows a
+    dispatch regression that timing noise hides."""
+    seq, z, zeta = _walk(160)
+    frames = [(seq.head[i], seq.left[i], seq.right[i], (z[i], zeta[i]) if config.use_keypoints
+               else None) for i in range(160)]
+    session = pipeline.PipelineSession(config)
+    for frame in frames[:60]:
+        session.process_frame(*frame)
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        for frame in frames[60:]:
+            session.process_frame(*frame)
+    finally:
+        sys.setprofile(None)
+    assert calls / 100 <= ceiling
 
 
 @pytest.mark.parametrize("predictor,window", [("heuristic", 1), ("neural", 40)])
