@@ -6,6 +6,8 @@ Conventions used throughout the package:
 * rotations on the wire and in descriptors use the 6D representation:
   the first two columns of the rotation matrix, stored column-by-column
   as ``[c0x, c0y, c0z, c1x, c1y, c1z]``
+* a full-body pose's rotations are one (J, 6) array in tree order, root
+  first: the root's global rotation, then each joint's parent-relative one
 * the skeleton is a KinematicTree, pelvis first, parents before children,
   and every joint count comes from it; the shipped default is the 22-joint
   SMPL main-body subset (no palm joints)
@@ -126,29 +128,30 @@ def _freeze(values, shape):
 
 @dataclass(frozen=True)
 class FullBodyPose:
-    """Root global rotation plus J - 1 parent-relative rotations (6D each)
-    for a J-joint tree.
+    """The (J, 6) rotations of a J-joint tree in the layout above, root
+    first; a pose with no rows is refused.
 
     positions, when present, are the J x 3 world joint positions derived
     by forward kinematics (or adjusted afterwards by the pose optimizer).
     """
 
-    root_rotation: np.ndarray
-    local_rotations: np.ndarray
+    rotations: np.ndarray
     positions: np.ndarray | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "root_rotation", _freeze(self.root_rotation, 6))
-        object.__setattr__(self, "local_rotations", _freeze(self.local_rotations, (-1, 6)))
+        rotations = _freeze(self.rotations, (-1, 6))
+        if rotations.size == 0:
+            raise ValueError("a pose needs at least the root rotation")
+        object.__setattr__(self, "rotations", rotations)
         if self.positions is not None:
             object.__setattr__(self, "positions", _freeze(self.positions, (-1, 3)))
 
     def stacked_rotations(self):
         """All J joint rotations as a (J, 6) array, root first."""
-        return np.concatenate([self.root_rotation[None, :], self.local_rotations], axis=0)
+        return self.rotations
 
     def with_positions(self, positions):
-        return FullBodyPose(self.root_rotation, self.local_rotations, positions)
+        return FullBodyPose(self.rotations, positions)
 
 
 ROOT_PARENT = -1

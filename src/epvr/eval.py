@@ -80,13 +80,10 @@ def similarity_align(src, dst):
     return scale, rot, trans
 
 
-def pa_mpjpe(pred, gt, joints=None) -> float:
+def pa_mpjpe(pred, gt) -> float:
     """Procrustes-aligned MPJPE (cm): similarity-align pred to gt first."""
     pred = np.asarray(pred, dtype=np.float64)
     gt = np.asarray(gt, dtype=np.float64)
-    if joints is not None:
-        pred = pred[list(joints)]
-        gt = gt[list(joints)]
     scale, rot, trans = similarity_align(pred, gt)
     aligned = scale * pred @ rot.T + trans
     return mpjpe(aligned, gt)
@@ -192,7 +189,7 @@ class SyntheticSequence:
     head: list
     left: list
     right: list
-    poses: list
+    rotations: np.ndarray  # (T, J, 6), root first
     positions: np.ndarray
     keypoints_cam: np.ndarray
     visibility: np.ndarray
@@ -299,7 +296,6 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
         local[i] = [rots.get(name, eye) for name in tree.names]
     rotations = core.matrix_to_rot6d(local)
     positions, world = kinematics.forward_chain(rotations, tree, root, anchor_joint=0)
-    poses = [core.FullBodyPose(r[0], r[1:]) for r in rotations]
 
     # device rows (T, device, ...); velocities are finite differences, zero
     # on the first frame
@@ -318,8 +314,8 @@ def generate_sequence(kind: str, duration: float, rate: float, seed: int = 0,
     _, visibility = _pixels(keypoints_cam, camera)
 
     return SyntheticSequence(
-        timestamps=timestamps, head=head, left=left, right=right,
-        poses=poses, positions=positions, keypoints_cam=keypoints_cam, visibility=visibility,
+        timestamps=timestamps, head=head, left=left, right=right, rotations=rotations,
+        positions=positions, keypoints_cam=keypoints_cam, visibility=visibility,
         rate=rate, tree=tree, camera=camera,
     )
 

@@ -3,8 +3,9 @@
 The skeleton is posed in a local frame by chaining parent rotations and
 rest offsets from the root, then rigidly translated so the anchor joint
 lands on the tracked headset position. The anchor is the joint the headset
-sits on, the first of core.TRACKED_JOINT_NAMES. The body's orientation
-comes from the predicted root rotation alone.
+sits on, the first of core.TRACKED_JOINT_NAMES. Rotations are (J, 6),
+root first (the core layout): the body's orientation comes from row 0, the
+predicted root rotation, alone.
 
 forward_chain poses any number of frames in one call (the synthetic
 generator poses a whole sequence at once); forward_kinematics is the
@@ -26,8 +27,8 @@ def forward_chain(rotations, tree: core.KinematicTree, anchor_position,
     """World positions (..., J, 3) and world rotation matrices (..., J, 3, 3)
     of every joint, for any number of poses at once.
 
-    rotations is (..., J, 6), root first as in FullBodyPose.stacked_rotations(),
-    and anchor_position (..., 3) holds one anchor per pose. Each chain is
+    rotations is (..., J, 6), root first as in FullBodyPose.rotations, and
+    anchor_position (..., 3) holds one anchor per pose. Each chain is
     accumulated from the root, then translated as one rigid body so the
     anchor joint (by default the joint the headset sits on) lands on its
     anchor_position. Raises ShapeError unless there is one rotation per
@@ -63,7 +64,7 @@ def forward_chain(rotations, tree: core.KinematicTree, anchor_position,
 def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree, anchor_position,
                        anchor_joint: int | None = None):
     """World positions (J x 3) of every joint of one pose; see forward_chain."""
-    return forward_chain(pose.stacked_rotations(), tree, anchor_position, anchor_joint)[0]
+    return forward_chain(pose.rotations, tree, anchor_position, anchor_joint)[0]
 
 
 def bone_vectors(positions, tree: core.KinematicTree):

@@ -60,9 +60,8 @@ class KpoConfig:
 
 @dataclass
 class KpoReport:
-    iterations: int
+    iterations: int  # accepted iterations: each lowered the energy
     final_energy: float
-    energy_trace: np.ndarray
     diverged: bool = False
 
 
@@ -109,9 +108,8 @@ class KpoSolver:
         # the prediction keeps its bone lengths, so its energy is the alignment term
         miss = initial[self.anchors] - targets
         energy = cfg.lambda_a * float(np.einsum("ij,ij->", miss, miss))
-        trace = [energy]
         if energy == 0.0:
-            return initial.copy(), KpoReport(0, energy, np.array(trace))
+            return initial.copy(), KpoReport(0, energy)
         linear = np.zeros_like(initial)
         linear[self.anchors] = cfg.lambda_a * targets
         linear[self.others] = cfg.lambda_s * initial[self.others]
@@ -126,7 +124,7 @@ class KpoSolver:
              - float(np.einsum("ij,ij->", linear, p0))
              + two_l * float(np.dot(init_len, init_len)))
         w = init_disp  # the prediction's bones: the first local step
-        best = None
+        best, iterations = None, 0
         for _ in range(cfg.max_iterations):
             kw = self._k @ w
             d = d0 + kw
@@ -138,9 +136,9 @@ class KpoSolver:
             if diverged or not candidate < energy:
                 break
             prev_energy, energy, best = energy, candidate, w
-            trace.append(energy)
+            iterations += 1
             if prev_energy - energy < cfg.energy_tolerance * prev_energy:
                 break
             w = (init_len / length)[:, None] * d
         p = initial.copy() if best is None else p0 + self._g @ best
-        return p, KpoReport(len(trace) - 1, energy, np.array(trace), diverged)
+        return p, KpoReport(iterations, energy, diverged)

@@ -159,18 +159,28 @@ _POSE_FIELDS = 1 + 3 + 6 + 3 + 6  # t, p, r6, v, w6
 _POSE_LATENCIES = 3  # predict, kpo, total (microseconds)
 
 
-def encode_hello(model: str) -> bytes:
-    raw = model.encode("utf-8")
+def _encode_text(text: str) -> bytes:
+    """u16 byte length, then the UTF-8 bytes of text."""
+    raw = text.encode("utf-8")
     return struct.pack("<H", len(raw)) + raw
 
 
-def decode_hello(payload: bytes) -> str:
+def _decode_text(payload: bytes, what: str) -> str:
+    """Inverse of _encode_text; ValueError unless payload holds exactly one text."""
     if len(payload) < 2:
-        raise ValueError(f"{len(payload)}-byte hello payload has no length prefix")
+        raise ValueError(f"{len(payload)}-byte {what} has no length prefix")
     (n,) = struct.unpack_from("<H", payload, 0)
     if len(payload) != 2 + n:
-        raise ValueError(f"{len(payload)}-byte hello payload does not hold a {n}-byte name")
+        raise ValueError(f"{len(payload)}-byte {what} does not hold a {n}-byte text")
     return payload[2:].decode("utf-8")  # UnicodeDecodeError is a ValueError
+
+
+def encode_hello(model: str) -> bytes:
+    return _encode_text(model)
+
+
+def decode_hello(payload: bytes) -> str:
+    return _decode_text(payload, "hello payload")
 
 
 def encode_hmd_payload(head, left, right) -> bytes:
@@ -237,17 +247,14 @@ def decode_pose_payload(payload: bytes):
 
 
 def encode_error_payload(code: int, message: str) -> bytes:
-    raw = message.encode("utf-8")
-    return struct.pack("<HH", code, len(raw)) + raw
+    return struct.pack("<H", code) + _encode_text(message)
 
 
 def decode_error_payload(payload: bytes):
-    if len(payload) < 4:
-        raise ValueError(f"{len(payload)}-byte error payload has no code and length")
-    code, n = struct.unpack_from("<HH", payload, 0)
-    if len(payload) != 4 + n:
-        raise ValueError(f"{len(payload)}-byte error payload does not hold a {n}-byte message")
-    return code, payload[4:].decode("utf-8")  # UnicodeDecodeError is a ValueError
+    """(code, message); ValueError unless the u16 code is followed by exactly one text."""
+    if len(payload) < 2:
+        raise ValueError(f"{len(payload)}-byte error payload has no code")
+    return struct.unpack_from("<H", payload, 0)[0], _decode_text(payload[2:], "error message")
 
 
 # ---------------------------------------------------------------------------
@@ -439,15 +446,11 @@ class _ServerSession:
                 self.conn.send_error(ERR_PIPELINE, f"{type(e).__name__}: {e}", self.session_id,
                                      self.result_seq, head.timestamp)
                 continue
-            lat = result.latencies
-            payload = encode_pose_payload(
-                result.pose.stacked_rotations(),
-                result.pose.positions,
-                [lat["predict"], lat["kpo"], lat["total"]],
-            )
-            raw = encode(Envelope(
-                Kind.POSE_RESULT, self.session_id, self.result_seq, result.timestamp, payload
-            ))
+            lat, pose = result.latencies, result.pose
+            payload = encode_pose_payload(pose.rotations, pose.positions,
+                                          [lat["predict"], lat["kpo"], lat["total"]])
+            raw = encode(Envelope(Kind.POSE_RESULT, self.session_id, self.result_seq,
+                                  head.timestamp, payload))
             self.result_seq += 1
             self.conn.send(raw)
             with self.sub_lock:

@@ -261,7 +261,8 @@ def cross_attention_fuse(m, n, w: FusionWeights, heads: int):
 
 
 def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:
-    """Per-token MLP heads: token 0 -> root rotation, tokens 1.. -> locals.
+    """Per-token MLP heads: token 0 -> root rotation, tokens 1.. -> locals,
+    stacked root first into the pose's (J, 6) rotations.
 
     fused must hold one token per joint (NetConfig.joints). Outputs are raw
     6D values; orthonormalization happens in the forward kinematics layer.
@@ -271,7 +272,7 @@ def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:
         raise ShapeError(f"decoder expects ({joints}, S) features, got {fused.shape}")
     root = _mlp(fused[0], w.dec_root_w1, w.dec_root_b1, w.dec_root_w2, w.dec_root_b2)
     locals_ = _mlp(fused[1:], w.dec_local_w1, w.dec_local_b1, w.dec_local_w2, w.dec_local_b2)
-    return core.FullBodyPose(root, locals_)
+    return core.FullBodyPose(np.concatenate([root[None], locals_]))
 
 
 # ---------------------------------------------------------------------------

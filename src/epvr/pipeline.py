@@ -66,7 +66,6 @@ class PipelineConfig:
 class FrameResult:
     pose: core.FullBodyPose
     latencies: dict
-    timestamp: float
     kpo: kpo.KpoReport | None  # None when KPO is off
 
 
@@ -108,7 +107,7 @@ class ReplayPredictor:
     @staticmethod
     def from_motion_file(path):
         return ReplayPredictor([
-            (head.timestamp, core.FullBodyPose(gt[0][0], gt[0][1:]))
+            (head.timestamp, core.FullBodyPose(gt[0]))
             for head, _, _, gt in replayfile.read_motion_file(path) if gt is not None
         ])
 
@@ -129,19 +128,18 @@ class HeuristicPredictor:
     reads_keypoints = False
 
     def __init__(self, tree: core.KinematicTree):
-        self._locals = np.tile(core.IDENTITY_6D, (tree.joint_count - 1, 1))
+        self._rest = np.tile(core.IDENTITY_6D, (tree.joint_count, 1))
 
     def predict(self, window: descriptor.DescriptorWindow, keypoints):
         head6 = window.frames[-1, 3:9]
         rot = core.rot6d_to_matrix(head6)
         forward = rot @ np.array([0.0, 0.0, 1.0])
         horiz = math.hypot(forward[0], forward[2])
-        if horiz < 1e-6:
-            root = core.IDENTITY_6D
-        else:
+        rotations = self._rest.copy()
+        if horiz >= 1e-6:
             yaw = math.atan2(forward[0], forward[2])
-            root = core.axis_angle_rot6d([0.0, 1.0, 0.0], yaw)
-        return core.FullBodyPose(root, self._locals)
+            rotations[0] = core.axis_angle_rot6d([0.0, 1.0, 0.0], yaw)
+        return core.FullBodyPose(rotations)
 
 
 def build_predictor(config: PipelineConfig, tree: core.KinematicTree):
@@ -229,7 +227,7 @@ class PipelineSession:
             latencies["kpo"] = (time.perf_counter_ns() - t0) / 1e3
 
         latencies["total"] = (time.perf_counter_ns() - t_start) / 1e3
-        return FrameResult(pose.with_positions(positions), latencies, head.timestamp, report)
+        return FrameResult(pose.with_positions(positions), latencies, report)
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +286,7 @@ def run_replay(motion_path, keypoint_path, config: PipelineConfig) -> ReplayRepo
         per_frame["mpjpe_u"].append(evalmod.mpjpe(pred_pos, gt_pos, upper))
         per_frame["mpjpe_l"].append(evalmod.mpjpe(pred_pos, gt_pos, lower))
         per_frame["pa_mpjpe"].append(evalmod.pa_mpjpe(pred_pos, gt_pos))
-        per_frame["mpjre"].append(evalmod.mpjre(res.pose.stacked_rotations(), gt_rots))
+        per_frame["mpjre"].append(evalmod.mpjre(res.pose.rotations, gt_rots))
     per_frame = {k: np.array(v) for k, v in per_frame.items()}
     metrics = {k: evalmod.summarize(v) for k, v in per_frame.items()}
     return ReplayReport(len(frames), fps, metrics, per_frame)
@@ -299,7 +297,7 @@ def write_sequence_files(seq: evalmod.SyntheticSequence, motion_path, keypoint_p
     """Serialize a synthetic sequence to replay files with gt annotations."""
     replayfile.write_replay(motion_path, replayfile.MOTION_FORMAT, (
         replayfile.motion_record(seq.head[i], seq.left[i], seq.right[i],
-                                 gt=(seq.poses[i].stacked_rotations(), seq.positions[i]))
+                                 gt=(seq.rotations[i], seq.positions[i]))
         for i in range(seq.frame_count)
     ))
     if keypoint_path:

@@ -127,7 +127,7 @@ def project_joints(positions, head, cam):
 
 def rest_pose(joint_count=22):
     """Identity rotation at every joint of a joint_count-joint tree."""
-    return core.FullBodyPose(core.IDENTITY_6D, np.tile(core.IDENTITY_6D, (joint_count - 1, 1)))
+    return core.FullBodyPose(np.tile(core.IDENTITY_6D, (joint_count, 1)))
 
 
 def rest_lengths(tree):

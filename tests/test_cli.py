@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from epvr import cli, eval as evalmod, kpo, pipeline
+from epvr import cli, eval as evalmod, kpo, net, pipeline
 
 GOLDEN = {
     (): {
@@ -107,3 +107,24 @@ def test_bench_refuses_a_count_below_one(capsys, flag, value):
     err = capsys.readouterr().err
     assert err.startswith("usage: epvr bench")
     assert f"argument {flag}: must be a positive integer" in err
+
+
+@pytest.mark.parametrize("registry, code, why", [
+    (None, 2, "registry file not found"),
+    ("{not json", 2, "cannot read registry"),
+    ('{"models": {}}', 2, "defines no models"),
+    ('{"models": {"hmd": {"config": {"use_kalman": true}}}}', 1,
+     "unknown PipelineConfig keys: ['use_kalman']"),
+], ids=["missing", "not-json", "no-models", "unknown-config-key"])
+def test_serve_refuses_a_bad_registry_before_binding(tmp_path, capsys, monkeypatch,
+                                                     registry, code, why):
+    def no_server(*args, **kwargs):
+        raise AssertionError("serve bound a port for a registry it should refuse")
+
+    monkeypatch.setattr(net, "Server", no_server)
+    path = tmp_path / "models.json"
+    if registry is not None:
+        path.write_text(registry)
+    capsys.readouterr()
+    assert cli.main(["serve", "--addr", "127.0.0.1:0", "--models", str(path)]) == code
+    assert why in capsys.readouterr().err

@@ -108,6 +108,22 @@ def test_device_pose_is_immutable():
         p.position[0] = 5.0
 
 
+def test_full_body_pose_is_one_frozen_rotations_array():
+    rows = np.tile(core.IDENTITY_6D, (3, 1))
+    pose = core.FullBodyPose(rows)
+    rows[0, 0] = 5.0  # the pose holds its own copy
+    assert pose.rotations.shape == (3, 6) and pose.rotations[0, 0] == 1.0
+    assert pose.stacked_rotations() is pose.rotations
+    with pytest.raises(ValueError):
+        pose.rotations[0, 0] = 5.0
+    placed = pose.with_positions(np.zeros((3, 3)))
+    assert np.array_equal(placed.rotations, pose.rotations)
+    with pytest.raises(ValueError):
+        placed.positions[0, 0] = 1.0
+    with pytest.raises(ValueError, match="root rotation"):
+        core.FullBodyPose(np.zeros((0, 6)))
+
+
 def test_default_tree_structure():
     tree = core.default_tree()
     assert tree.joint_count == 22

@@ -271,7 +271,7 @@ def _sequence_digest(seq):
     """sha256 over every generated array, in a fixed order."""
     h = hashlib.sha256()
     for arr in (seq.timestamps, seq.positions, seq.keypoints_cam, seq.visibility,
-                np.stack([pose.stacked_rotations() for pose in seq.poses])):
+                seq.rotations):
         h.update(np.ascontiguousarray(arr).tobytes())
     for device in (seq.head, seq.left, seq.right):
         for p in device:

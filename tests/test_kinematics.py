@@ -8,11 +8,8 @@ import oracles
 
 
 def _random_pose(rng):
-    rots = [oracles.random_rotation(rng) for _ in range(22)]
     return core.FullBodyPose(
-        core.matrix_to_rot6d(rots[0]),
-        np.stack([core.matrix_to_rot6d(r) for r in rots[1:]]),
-    )
+        np.stack([core.matrix_to_rot6d(oracles.random_rotation(rng)) for _ in range(22)]))
 
 
 def _cumulative_offsets(tree):
@@ -60,9 +57,9 @@ def test_root_rotation_rigidly_rotates_about_head_anchor():
     anchor = np.array([0.3, 1.6, -0.2])
     identity_pose = oracles.rest_pose()
     base = kinematics.forward_kinematics(identity_pose, tree, anchor)
-    rotated_pose = core.FullBodyPose(
-        core.matrix_to_rot6d(ry), identity_pose.local_rotations
-    )
+    rotations = identity_pose.rotations.copy()
+    rotations[0] = core.matrix_to_rot6d(ry)
+    rotated_pose = core.FullBodyPose(rotations)
     got = kinematics.forward_kinematics(rotated_pose, tree, anchor)
     want = (base - anchor) @ ry.T + anchor
     assert np.max(np.abs(got - want)) < 1e-9
@@ -85,9 +82,8 @@ def test_orthonormalization_invariance():
     tree = core.default_tree()
     rng = np.random.default_rng(53)
     raw = rng.standard_normal((22, 6)) * 2.0
-    pose_raw = core.FullBodyPose(raw[0], raw[1:])
-    ortho = core.matrix_to_rot6d(core.rot6d_to_matrix(raw))
-    pose_ortho = core.FullBodyPose(ortho[0], ortho[1:])
+    pose_raw = core.FullBodyPose(raw)
+    pose_ortho = core.FullBodyPose(core.matrix_to_rot6d(core.rot6d_to_matrix(raw)))
     anchor = np.array([0.5, 1.5, 0.5])
     a = kinematics.forward_kinematics(pose_raw, tree, anchor)
     b = kinematics.forward_kinematics(pose_ortho, tree, anchor)
@@ -144,9 +140,9 @@ def test_forward_chain_rotations_are_the_ancestor_products():
     rng = np.random.default_rng(57)
     pose = _random_pose(rng)
     anchor = np.array([0, 1.6, 0])
-    pos, rot = kinematics.forward_chain(pose.stacked_rotations(), tree, anchor)
+    pos, rot = kinematics.forward_chain(pose.rotations, tree, anchor)
     assert np.array_equal(pos, kinematics.forward_kinematics(pose, tree, anchor))
-    local = core.rot6d_to_matrix(pose.stacked_rotations())
+    local = core.rot6d_to_matrix(pose.rotations)
     for j in range(tree.joint_count):
         expected, k = np.eye(3), j
         while k >= 0:
@@ -164,9 +160,9 @@ def _chain_tree():
 def test_forward_chain_poses_a_tree_of_any_size():
     tree = _chain_tree()
     rz = oracles.quat_to_matrix(oracles.quat_from_axis_angle([0, 0, 1], np.pi / 2))
-    pose = core.FullBodyPose(core.IDENTITY_6D, [core.matrix_to_rot6d(rz), core.IDENTITY_6D])
+    pose = core.FullBodyPose([core.IDENTITY_6D, core.matrix_to_rot6d(rz), core.IDENTITY_6D])
     anchor = np.zeros(3)
-    pos, rot = kinematics.forward_chain(pose.stacked_rotations(), tree, anchor)
+    pos, rot = kinematics.forward_chain(pose.rotations, tree, anchor)
     # the root bone stays on +y, the rotated mid joint turns its child bone to -x
     want = np.array([[0.0, 0.0, 0.0], [0.0, 0.5, 0.0], [-0.25, 0.5, 0.0]])
     assert np.max(np.abs(pos - (want - want[2]))) < 1e-12
@@ -179,13 +175,13 @@ def test_forward_chain_rejects_a_rotation_count_the_tree_does_not_have(rotations
     pose = oracles.rest_pose(rotations)
     anchor = np.zeros(3)
     with pytest.raises(ShapeError, match=rf"\({rotations}, 6\)"):
-        kinematics.forward_chain(pose.stacked_rotations(), _chain_tree(), anchor)
+        kinematics.forward_chain(pose.rotations, _chain_tree(), anchor)
 
 
 def test_forward_chain_poses_a_batch_as_the_per_frame_calls():
     tree = core.default_tree()
     rng = np.random.default_rng(58)
-    rotations = np.stack([_random_pose(rng).stacked_rotations() for _ in range(6)])
+    rotations = np.stack([_random_pose(rng).rotations for _ in range(6)])
     anchors = rng.standard_normal((6, 3))
     pos, rot = kinematics.forward_chain(rotations, tree, anchors)
     assert pos.shape == (6, 22, 3) and rot.shape == (6, 22, 3, 3)

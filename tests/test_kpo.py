@@ -293,16 +293,23 @@ def test_optimize_three_joint_chain_matches_grid_search():
 
 
 def test_optimize_monotone_trace_and_anchor_improvement():
-    """E(out) <= E(initial), and the prediction keeps its own bones, so
-    E(initial) is its summed squared anchor error: the optimum can only
-    lower that sum. A single anchor may still move away from its device."""
+    """No iteration raises the energy: the runs capped at k = 1 ... n
+    iterations, n the uncapped count, end at strictly falling energies, all
+    below E(initial). The prediction keeps its own bones, so E(initial) is its
+    summed squared anchor error: the optimum can only lower that sum. A
+    single anchor may still move away from its device."""
     rng = np.random.default_rng(73)
     cfg = kpo.KpoConfig()
     for _ in range(50):
         problem = random_problem(rng)
         out, report = optimize(problem, cfg)
-        assert np.all(np.diff(report.energy_trace) < 0)
         before = sum(np.sum((problem.initial[k] - problem.anchors[k]) ** 2) for k in ANCHORS)
+        steps = range(1, report.iterations + 1)
+        capped = [optimize(problem, dataclasses.replace(cfg, max_iterations=k))[1] for k in steps]
+        assert [r.iterations for r in capped] == list(steps)
+        energies = [cfg.lambda_a * before] + [r.final_energy for r in capped]
+        assert np.all(np.diff(energies) < 0)
+        assert energies[-1] == report.final_energy
         after = sum(np.sum((out[k] - problem.anchors[k]) ** 2) for k in ANCHORS)
         assert after < before
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from epvr import eval as evalmod, net, neural, pipeline
-from epvr.errors import OversizedFrame
+from epvr.errors import BindFailure, OversizedFrame, UnknownModel
 
 TIMEOUT = 3.0
 MODEL = "hmd"
@@ -442,6 +442,23 @@ def test_unknown_model_is_refused(server):
         assert _error_code(client) == net.ERR_UNKNOWN_MODEL
     finally:
         client.close()
+
+
+def test_client_hello_raises_unknown_model_on_code_1_and_connection_error_otherwise(server):
+    with contextlib.closing(_client(server)) as client:
+        with pytest.raises(UnknownModel, match="no-such-model"):
+            client.hello("no-such-model")
+    with contextlib.closing(_client(server)) as client:
+        client.hello(MODEL)
+        with pytest.raises(ConnectionError, match="already open"):
+            client.hello(MODEL)  # a second HELLO on the session: code 2
+
+
+def test_a_second_server_cannot_bind_a_listening_address(server):
+    with pytest.raises(BindFailure, match=rf"cannot bind 127\.0\.0\.1:{server.address[1]}"):
+        net.Server(server.address, REGISTRY)
+    with contextlib.closing(_client(server)) as client:  # the first still serves
+        assert client.hello(MODEL).kind == net.Kind.HELLO
 
 
 def test_non_increasing_sequence_is_refused(server, walk):

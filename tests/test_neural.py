@@ -57,7 +57,7 @@ def test_decoder_emits_one_rotation_per_configured_joint():
         rng.standard_normal((cfg.window, cfg.motion_dim)), motion, cfg.heads
     )
     pose = neural.decode_pose(feats, fusion, cfg.joints)
-    assert pose.stacked_rotations().shape == (5, 6)
+    assert pose.rotations.shape == (5, 6)
     with pytest.raises(ShapeError, match=r"\(22, S\)"):
         neural.decode_pose(feats, fusion, 22)
 
@@ -155,9 +155,8 @@ def test_decode_constant_head_emits_identity_rotations():
     fusion.dec_local_b2[:] = core.IDENTITY_6D
     rng = np.random.default_rng(16)
     pose = neural.decode_pose(rng.standard_normal((22, SMALL.model_dim)), fusion, SMALL.joints)
-    assert np.array_equal(pose.root_rotation, core.IDENTITY_6D)
-    assert np.all(pose.local_rotations == core.IDENTITY_6D)
-    decoded = core.rot6d_to_matrix(pose.stacked_rotations())
+    assert np.all(pose.rotations == core.IDENTITY_6D)
+    decoded = core.rot6d_to_matrix(pose.rotations)
     assert np.allclose(decoded, np.eye(3), atol=1e-15)
 
 
@@ -169,11 +168,10 @@ def test_decode_per_token_locality():
     bumped = feats.copy()
     bumped[5] += 1.0
     got = neural.decode_pose(bumped, fusion, SMALL.joints)
-    assert not np.array_equal(got.local_rotations[4], base.local_rotations[4])
-    assert np.array_equal(got.root_rotation, base.root_rotation)
-    mask = np.ones(21, dtype=bool)
-    mask[4] = False
-    assert np.array_equal(got.local_rotations[mask], base.local_rotations[mask])
+    assert not np.array_equal(got.rotations[5], base.rotations[5])
+    mask = np.ones(22, dtype=bool)
+    mask[5] = False
+    assert np.array_equal(got.rotations[mask], base.rotations[mask])
 
 
 def test_decode_matches_matrix_multiply_oracle():
@@ -183,11 +181,11 @@ def test_decode_matches_matrix_multiply_oracle():
     pose = neural.decode_pose(feats, fusion, SMALL.joints)
     root = np.maximum(feats[0] @ fusion.dec_root_w1 + fusion.dec_root_b1, 0.0)
     root = root @ fusion.dec_root_w2 + fusion.dec_root_b2
-    assert np.max(np.abs(pose.root_rotation - root)) < 1e-9
+    assert np.max(np.abs(pose.rotations[0] - root)) < 1e-9
     for i in range(21):
         h = np.maximum(feats[i + 1] @ fusion.dec_local_w1 + fusion.dec_local_b1, 0.0)
         want = h @ fusion.dec_local_w2 + fusion.dec_local_b2
-        assert np.max(np.abs(pose.local_rotations[i] - want)) < 1e-9
+        assert np.max(np.abs(pose.rotations[i + 1] - want)) < 1e-9
 
 
 _GAINS = {"ln1_g", "ln2_g", "ln_q_g", "ln_kv_g", "ln_ff_g"}
@@ -218,7 +216,7 @@ def test_plan_matches_the_unfolded_forward_pass(keypoint_frames, use_fusion):
     rng = np.random.default_rng(41)
     frames = rng.standard_normal((cfg.window, cfg.motion_dim))
     keypoints = rng.standard_normal((keypoint_frames, cfg.joints, 3))
-    got = predictor.predict(SimpleNamespace(frames=frames), keypoints).stacked_rotations()
+    got = predictor.predict(SimpleNamespace(frames=frames), keypoints).rotations
     want = oracles.network_rotations(motion, visual, fusion, cfg.heads, frames,
                                      keypoints.reshape(keypoint_frames, -1) if use_fusion else None)
     assert np.max(np.abs(got - want)) <= 1e-12

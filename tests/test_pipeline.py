@@ -244,7 +244,7 @@ def test_session_takes_the_skeleton_size_from_its_tree(predictor):
     kp = (np.zeros((4, 3)), np.ones(4))
     for i in range(seq.frame_count):
         result = session.process_frame(seq.head[i], seq.left[i], seq.right[i], kp)
-    assert result.pose.stacked_rotations().shape == (4, 6)
+    assert result.pose.rotations.shape == (4, 6)
     assert result.pose.positions.shape == (4, 3)
 
 
@@ -304,7 +304,7 @@ def _pose_rows(session, seq, z, zeta, frames):
     for i in frames:
         kp = (z[i], zeta[i]) if session.config.use_keypoints and i % 2 == 0 else None
         pose = session.process_frame(seq.head[i], seq.left[i], seq.right[i], kp).pose
-        rows.append(np.concatenate([pose.stacked_rotations().ravel(), pose.positions.ravel()]))
+        rows.append(np.concatenate([pose.rotations.ravel(), pose.positions.ravel()]))
     return np.array(rows)
 
 
@@ -343,8 +343,8 @@ def test_sessions_sharing_a_predictor_equal_lone_sessions():
 
 
 @pytest.mark.parametrize("config,ceiling", [
-    (pipeline.PipelineConfig(), 700),
-    (pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False), 660),
+    (pipeline.PipelineConfig(), 638),
+    (pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False), 643),
 ], ids=["default", "hmd-only"])
 def test_python_calls_per_frame_stay_under_their_ceiling(config, ceiling):
     """Python-level calls (call and c_call events) per frame over 100 frames
@@ -424,5 +424,5 @@ def test_a_rejected_frame_leaves_the_session_unchanged(spoil, predictor, error):
     for i in range(1, 61):
         want = clean.process_frame(*frame(i)).pose
         got = probed.process_frame(*frame(i)).pose
-        assert np.array_equal(got.stacked_rotations(), want.stacked_rotations())
+        assert np.array_equal(got.rotations, want.rotations)
         assert np.array_equal(got.positions, want.positions)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from epvr import core, eval as evalmod, pipeline, replayfile
-from epvr.errors import FileFormat
+from epvr.errors import FileFormat, FrameCountMismatch
 
 READERS = [
     (replayfile.MOTION_FORMAT, replayfile.read_motion_file),
@@ -71,7 +71,7 @@ def test_synthetic_sequence_comes_back_exactly(tmp_path):
             assert np.array_equal(got.orientation, want.orientation)
             assert np.array_equal(got.linear_velocity, want.linear_velocity)
             assert np.array_equal(got.angular_velocity, want.angular_velocity)
-        assert np.array_equal(rots, seq.poses[i].stacked_rotations())
+        assert np.array_equal(rots, seq.rotations[i])
         assert np.array_equal(pos, seq.positions[i])
 
     kp_frames = replayfile.read_keypoint_file(keypoints)
@@ -123,3 +123,15 @@ def test_replay_refuses_files_of_another_skeleton(tmp_path):
         replayfile.write_replay(keypoints, replayfile.KEYPOINT_FORMAT, kp_records)
         with pytest.raises(FileFormat, match=why):
             pipeline.run_replay(motion, keypoints, config)
+
+
+def test_replay_refuses_a_keypoint_file_one_frame_short(tmp_path):
+    seq = evalmod.generate_sequence("walk", 0.1, 60.0, seed=4)
+    motion, keypoints = tmp_path / "s.motion.jsonl", tmp_path / "s.keypoints.jsonl"
+    pipeline.write_sequence_files(seq, motion, keypoints)
+    lines = keypoints.read_text().splitlines(keepends=True)
+    keypoints.write_text("".join(lines[:-1]))
+    config = pipeline.PipelineConfig(predictor="heuristic", use_fusion=False)
+    with pytest.raises(FrameCountMismatch, match=f"{seq.frame_count} motion frames vs "
+                                                 f"{seq.frame_count - 1} keypoint frames"):
+        pipeline.run_replay(motion, keypoints, config)
