@@ -60,9 +60,16 @@ def cmd_serve(args) -> int:
     except (OSError, json.JSONDecodeError) as e:
         print(f"error: cannot read registry {args.models}: {e}", file=sys.stderr)
         return 2
+    models = registry_doc.get("models", {}) if isinstance(registry_doc, dict) else None
+    if not isinstance(models, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("config", {}), dict)
+            for entry in models.values()):
+        print(f"error: registry {args.models} must be a JSON object of the form "
+              f"{{\"models\": {{name: {{...}}}}}}", file=sys.stderr)
+        return 2
     default_cfg = _load_config(args.config)
     registry = {}
-    for name, entry in registry_doc.get("models", {}).items():
+    for name, entry in models.items():
         if "config" in entry:
             registry[name] = pipeline.PipelineConfig.from_dict(entry["config"])
         else:

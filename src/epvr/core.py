@@ -121,6 +121,10 @@ class DevicePose:
 
 
 def _freeze(values, shape):
+    """values as a read-only float64 ndarray of `shape`: values itself when it is one."""
+    if (type(values) is np.ndarray and values.dtype == np.float64
+            and not values.flags.writeable and values.reshape(shape).shape == values.shape):
+        return values
     arr = np.array(values, dtype=np.float64).reshape(shape)
     arr.flags.writeable = False
     return arr

@@ -19,10 +19,14 @@ the kinematic tree the pipeline runs on.
 Inference runs a Plan built once per model from the weight dataclasses: both
 encoders as one (2, T, d) array, one (d, 3d) Q|K|V matmul per attention with
 the norm's gain and bias and 1/sqrt(head_dim) folded in, and one query in the
-last frame layer. It matches the unfolded forward pass within 1e-12.
+last frame layer. The pipeline's plan holds every array in float32 (folded in
+float64, then cast once) and runs its activations in float32; its raw 6D
+outputs stay within 1e-5 of the unfolded float64 forward pass (1.5e-6 seen).
+The one-stream spatiotemporal_encode and cross_attention_fuse run a float64
+plan, which matches that pass within 1e-12.
 
-Weights file (unchanged by the plan): magic "EPVR", version byte, tensor
-directory, float32 payload, trailing CRC-32.
+Weights file: magic "EPVR", version byte, tensor directory, float32 payload,
+trailing CRC-32. Weights load, and are seeded, as float32 arrays.
 """
 
 from __future__ import annotations
@@ -159,9 +163,10 @@ _Folded = namedtuple("_Folded", "qkv bqkv wo bo w1 b1 w2 b2")
 
 
 def _fold(w, heads, norm=None, ff_norm=None):
-    """One stream's _Folded arrays (biases as (1, n) rows) of block w; the norms are
-    (gain, bias) pairs, a LayerWeights' own by default."""
+    """One stream's _Folded arrays (biases as (1, n) rows) of block w, folded in float64;
+    the norms are (gain, bias) pairs, a LayerWeights' own by default."""
     (g, b), (ff_g, ff_b) = norm or (w.ln1_g, w.ln1_b), ff_norm or (w.ln2_g, w.ln2_b)
+    g, b, ff_g, ff_b = (np.asarray(a, dtype=np.float64) for a in (g, b, ff_g, ff_b))
     scale = np.repeat([1.0 / np.sqrt(len(w.wq) // heads), 1.0, 1.0], len(w.wq))
     qkv = np.concatenate([w.wq, w.wk, w.wv], axis=1) * scale
     bqkv = np.concatenate([w.bq, w.bk, w.bv]) * scale
@@ -190,14 +195,20 @@ def _block(x, w: _Folded, heads, mean, rows=slice(0, None), cross=False):
 
 
 class Plan:
-    """Folded, stream-stacked encoder layers and fusion block. The summary MLPs and
-    joint embeddings are referenced; no per-call state, so sessions may share it."""
+    """Folded, stream-stacked encoder layers and fusion block, and the weights cast to
+    `dtype` (each array the weights' own when it already is): the embeddings, summary
+    MLPs and decode heads are read from those. Every array is in `dtype`, and so are
+    the activations. No per-call state, so sessions may share it."""
 
-    def __init__(self, encoders, heads, fusion: FusionWeights | None = None):
-        self.encoders, self.heads = encoders, heads
+    def __init__(self, encoders, heads, fusion: FusionWeights | None = None,
+                 dtype=np.float32):
+        self.heads, self.dtype = heads, dtype
+        cast = lambda _, a: np.asarray(a, dtype=dtype)
+        self.encoders = [_map_tensors(w, "", cast) for w in encoders]
         d = (encoders[0].embed_w if encoders else fusion.wo).shape[1]
-        self._mean = np.full((d, 1), 1.0 / d)
-        stacks = [[_Folded(*map(np.stack, zip(*(_fold(lw, heads) for lw in group))))
+        self._mean = np.full((d, 1), 1.0 / d, dtype=dtype)
+        stack = lambda arrays: _Folded(*(np.stack(a, dtype=dtype) for a in zip(*arrays)))
+        stacks = [[stack(_fold(lw, heads) for lw in group)
                    for group in zip(*(getattr(w, name) for w in encoders))]
                   for name in ("frame_layers", "joint_layers")]
         # (frame layers, joint layers) of all streams, and of each stream alone
@@ -208,13 +219,16 @@ class Plan:
         if fusion is not None:  # stream 0 the queries' Q|K|V, stream 1 the keys' and values'
             q, kv = (_fold(fusion, heads, norm, (fusion.ln_ff_g, fusion.ln_ff_b)) for norm in (
                 (fusion.ln_q_g, fusion.ln_q_b), (fusion.ln_kv_g, fusion.ln_kv_b)))
-            self._fusion = _Folded(*map(np.stack, zip(q[:2], kv[:2])), *q[2:])
+            self._fusion = _Folded(*(np.stack(a, dtype=dtype) for a in zip(q[:2], kv[:2])),
+                                   *(np.asarray(a, dtype=dtype) for a in q[2:]))
+            self.fusion = _map_tensors(fusion, "", cast)
 
     def encode(self, windows):
-        """(S, joints, d) features of one (T, D) window per encoder. The streams' frame
-        layers run together when their windows have one length (not while the keypoint
-        window fills); the last computes only the newest token, with K and V over all."""
-        windows = [np.asarray(win, dtype=np.float64) for win in windows]
+        """(S, joints, d) features of one (T, D) window per encoder, each cast to the
+        plan's dtype once. The streams' frame layers run together when their windows
+        have one length (not while the keypoint window fills); the last computes only
+        the newest token, with K and V over all."""
+        windows = [np.asarray(win, dtype=self.dtype) for win in windows]
         for win, w in zip(windows, self.encoders):
             if win.ndim != 2 or win.shape[1] != len(w.embed_w) or not 1 <= len(win) <= len(w.pos):
                 raise ShapeError(f"window {win.shape} does not fit {len(w.embed_w)}-D frames, "
@@ -242,32 +256,34 @@ class Plan:
 
     def fuse(self, features):
         """Motion features features[0] attend over visual features[1]: (J, d)."""
+        features = np.asarray(features, dtype=self.dtype)
         out = _block(features, self._fusion, self.heads, self._mean, cross=True)[0]
         _check_finite(out, "fusion")
         return out
 
 
 def spatiotemporal_encode(window, w: EncoderWeights, heads: int):
-    """Encode a (T, D) temporal stack into (joints, model_dim) features."""
-    return Plan([w], heads).encode([window])[0]
+    """Encode a (T, D) temporal stack into (joints, model_dim) features, in float64."""
+    return Plan([w], heads, dtype=np.float64).encode([window])[0]
 
 
 def cross_attention_fuse(m, n, w: FusionWeights, heads: int):
-    """Let motion features m attend over visual features n; shape preserved."""
+    """Let motion features m attend over visual features n, in float64; shape preserved."""
     m, n = (np.asarray(a, dtype=np.float64) for a in (m, n))
     if m.shape != n.shape or m.ndim != 2:
         raise ShapeError(f"feature maps must share (J, S) shape, got {m.shape} and {n.shape}")
-    return Plan([], heads, w).fuse(np.stack([m, n]))
+    return Plan([], heads, w, np.float64).fuse(np.stack([m, n]))
 
 
 def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:
     """Per-token MLP heads: token 0 -> root rotation, tokens 1.. -> locals,
-    stacked root first into the pose's (J, 6) rotations.
+    stacked root first into the pose's (J, 6) rotations, computed in the
+    dtype of fused and w.
 
     fused must hold one token per joint (NetConfig.joints). Outputs are raw
     6D values; orthonormalization happens in the forward kinematics layer.
     """
-    fused = np.asarray(fused, dtype=np.float64)
+    fused = np.asarray(fused)
     if fused.ndim != 2 or fused.shape[0] != joints:
         raise ShapeError(f"decoder expects ({joints}, S) features, got {fused.shape}")
     root = _mlp(fused[0], w.dec_root_w1, w.dec_root_b1, w.dec_root_w2, w.dec_root_b2)
@@ -280,8 +296,8 @@ def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:
 
 
 def _f32(rng, shape, scale):
-    """Random normal scaled in float32 so values survive the file format."""
-    return (rng.standard_normal(shape, dtype=np.float32) * np.float32(scale)).astype(np.float64)
+    """Random normal scaled in float32, the dtype of the weights file."""
+    return rng.standard_normal(shape, dtype=np.float32) * np.float32(scale)
 
 
 def _init_layer(rng, cfg: NetConfig) -> LayerWeights:
@@ -289,14 +305,14 @@ def _init_layer(rng, cfg: NetConfig) -> LayerWeights:
     ff = cfg.ff_mult * s
     w_scale = 1.0 / np.sqrt(s)
     return LayerWeights(
-        ln1_g=np.ones(s), ln1_b=np.zeros(s),
-        wq=_f32(rng, (s, s), w_scale), bq=np.zeros(s),
-        wk=_f32(rng, (s, s), w_scale), bk=np.zeros(s),
-        wv=_f32(rng, (s, s), w_scale), bv=np.zeros(s),
-        wo=_f32(rng, (s, s), w_scale), bo=np.zeros(s),
-        ln2_g=np.ones(s), ln2_b=np.zeros(s),
-        ff_w1=_f32(rng, (s, ff), w_scale), ff_b1=np.zeros(ff),
-        ff_w2=_f32(rng, (ff, s), 1.0 / np.sqrt(ff)), ff_b2=np.zeros(s),
+        ln1_g=np.ones(s, np.float32), ln1_b=np.zeros(s, np.float32),
+        wq=_f32(rng, (s, s), w_scale), bq=np.zeros(s, np.float32),
+        wk=_f32(rng, (s, s), w_scale), bk=np.zeros(s, np.float32),
+        wv=_f32(rng, (s, s), w_scale), bv=np.zeros(s, np.float32),
+        wo=_f32(rng, (s, s), w_scale), bo=np.zeros(s, np.float32),
+        ln2_g=np.ones(s, np.float32), ln2_b=np.zeros(s, np.float32),
+        ff_w1=_f32(rng, (s, ff), w_scale), ff_b1=np.zeros(ff, np.float32),
+        ff_w2=_f32(rng, (ff, s), 1.0 / np.sqrt(ff)), ff_b2=np.zeros(s, np.float32),
     )
 
 
@@ -304,20 +320,20 @@ def _init_encoder(rng, cfg: NetConfig, input_dim: int) -> EncoderWeights:
     s = cfg.model_dim
     return EncoderWeights(
         embed_w=_f32(rng, (input_dim, s), 1.0 / np.sqrt(input_dim)),
-        embed_b=np.zeros(s),
+        embed_b=np.zeros(s, np.float32),
         pos=_f32(rng, (cfg.window, s), 0.02),
         frame_layers=[_init_layer(rng, cfg) for _ in range(cfg.layers)],
         summary_w1=_f32(rng, (s, cfg.summary_hidden), 1.0 / np.sqrt(s)),
-        summary_b1=np.zeros(cfg.summary_hidden),
+        summary_b1=np.zeros(cfg.summary_hidden, np.float32),
         summary_w2=_f32(rng, (cfg.summary_hidden, cfg.joints * s), 1.0 / np.sqrt(cfg.summary_hidden)),
-        summary_b2=np.zeros(cfg.joints * s),
+        summary_b2=np.zeros(cfg.joints * s, np.float32),
         joint_embed=_f32(rng, (cfg.joints, s), 0.02),
         joint_layers=[_init_layer(rng, cfg) for _ in range(cfg.layers)],
     )
 
 
 def init_weights(cfg: NetConfig = NetConfig(), seed: int = 0):
-    """Seeded random weights: (motion encoder, visual encoder, fusion)."""
+    """Seeded random float32 weights: (motion encoder, visual encoder, fusion)."""
     rng = np.random.default_rng(seed)
     motion = _init_encoder(rng, cfg, cfg.motion_dim)
     visual = _init_encoder(rng, cfg, cfg.keypoint_dim)
@@ -327,15 +343,15 @@ def init_weights(cfg: NetConfig = NetConfig(), seed: int = 0):
     block = {name.replace("ln1", "ln_q").replace("ln2", "ln_ff"): value
              for name, value in vars(_init_layer(rng, cfg)).items()}
     fusion = FusionWeights(
-        **block, ln_kv_g=np.ones(s), ln_kv_b=np.zeros(s),
+        **block, ln_kv_g=np.ones(s, np.float32), ln_kv_b=np.zeros(s, np.float32),
         dec_root_w1=_f32(rng, (s, h), 1.0 / np.sqrt(s)),
-        dec_root_b1=np.zeros(h),
+        dec_root_b1=np.zeros(h, np.float32),
         dec_root_w2=_f32(rng, (h, 6), 1.0 / np.sqrt(h)),
-        dec_root_b2=np.array(core.IDENTITY_6D),
+        dec_root_b2=core.IDENTITY_6D.astype(np.float32),
         dec_local_w1=_f32(rng, (s, h), 1.0 / np.sqrt(s)),
-        dec_local_b1=np.zeros(h),
+        dec_local_b1=np.zeros(h, np.float32),
         dec_local_w2=_f32(rng, (h, 6), 1.0 / np.sqrt(h)),
-        dec_local_b2=np.array(core.IDENTITY_6D),
+        dec_local_b2=core.IDENTITY_6D.astype(np.float32),
     )
     return motion, visual, fusion
 
@@ -419,7 +435,8 @@ def _read_directory(body):
 
 
 def load_weights(path):
-    """Load (motion, visual, fusion, config) from a weights file.
+    """Load (motion, visual, fusion, config) from a weights file, each tensor
+    a read-only float32 view of the file's payload.
 
     Raises BadMagic / ChecksumFailure / ShapeMismatch per failure mode;
     a truncated file surfaces as ChecksumFailure.
@@ -444,7 +461,7 @@ def load_weights(path):
         chunk = payload[payload_off:payload_off + size]
         if len(chunk) != size:
             raise ShapeMismatch(f"tensor {name} payload out of range")
-        tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+        tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
 
     if "config" not in tensors:
         raise ShapeMismatch("missing config tensor")

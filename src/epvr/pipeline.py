@@ -73,7 +73,8 @@ STAGES = ("descriptor", "refine", "predict", "fk", "filter", "kpo")
 
 
 class NeuralPredictor:
-    """Dual-stream encode, optional fusion, MLP decode, run as one neural.Plan."""
+    """Dual-stream encode, optional fusion, MLP decode, run as one float32 neural.Plan.
+    The weights stay as given; the plan reads float32 ones as they are."""
 
     def __init__(self, motion_w, visual_w, fusion_w, net_cfg: neural.NetConfig,
                  use_fusion: bool = True):
@@ -89,7 +90,7 @@ class NeuralPredictor:
             features = self.plan.fuse(self.plan.encode([window.frames, flat]))
         else:
             features = self.plan.encode([window.frames])[0]
-        return neural.decode_pose(features, self.fusion_w, self.net_cfg.joints)
+        return neural.decode_pose(features, self.plan.fusion, self.net_cfg.joints)
 
 
 class ReplayPredictor:
@@ -139,6 +140,7 @@ class HeuristicPredictor:
         if horiz >= 1e-6:
             yaw = math.atan2(forward[0], forward[2])
             rotations[0] = core.axis_angle_rot6d([0.0, 1.0, 0.0], yaw)
+        rotations.flags.writeable = False  # so the pose keeps this copy as it is
         return core.FullBodyPose(rotations)
 
 

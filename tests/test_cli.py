@@ -10,18 +10,18 @@ from epvr import cli, eval as evalmod, kpo, net, pipeline
 
 GOLDEN = {
     (): {
-        "mpjpe": (58.17211703901985, 2.0301920391975474),
-        "mpjpe_u": (21.242765182128487, 1.9984085261450304),
-        "mpjpe_l": (111.5145141656407, 2.8248720714080826),
-        "pa_mpjpe": (40.49806935832821, 1.015997151657914),
-        "mpjre": (141.1083013227673, 4.656705155779409),
+        "mpjpe": (58.17211842317464, 2.0301922904929257),
+        "mpjpe_u": (21.24276503843533, 1.9984081075128233),
+        "mpjpe_l": (111.51451775668696, 2.824873213877949),
+        "pa_mpjpe": (40.49806872553406, 1.0159979262831296),
+        "mpjre": (141.10830166880012, 4.656705373256238),
     },
     ("--ablate", "kpo"): {
-        "mpjpe": (75.76219896282251, 4.564337222644556),
-        "mpjpe_u": (48.171854455495435, 5.631437729674615),
-        "mpjpe_l": (115.61491880673938, 3.4949378972006837),
-        "pa_mpjpe": (40.23963808416888, 1.6470851633242687),
-        "mpjre": (141.1083013227673, 4.656705155779409),
+        "mpjpe": (75.76220014389362, 4.5643388712755515),
+        "mpjpe_u": (48.17185372254742, 5.631439148875346),
+        "mpjpe_l": (115.61492275250481, 3.4949395158836647),
+        "pa_mpjpe": (40.23963778319432, 1.6470854240329365),
+        "mpjre": (141.10830166880012, 4.656705373256238),
     },
 }
 
@@ -113,9 +113,14 @@ def test_bench_refuses_a_count_below_one(capsys, flag, value):
     (None, 2, "registry file not found"),
     ("{not json", 2, "cannot read registry"),
     ('{"models": {}}', 2, "defines no models"),
+    ("[]", 2, "must be a JSON object"),
+    ('{"models": [{"config": {}}]}', 2, "must be a JSON object"),
+    ('{"models": {"hmd": 5}}', 2, "must be a JSON object"),
+    ('{"models": {"hmd": {"config": []}}}', 2, "must be a JSON object"),
     ('{"models": {"hmd": {"config": {"use_kalman": true}}}}', 1,
      "unknown PipelineConfig keys: ['use_kalman']"),
-], ids=["missing", "not-json", "no-models", "unknown-config-key"])
+], ids=["missing", "not-json", "no-models", "not-an-object", "models-a-list",
+        "model-not-an-object", "config-not-an-object", "unknown-config-key"])
 def test_serve_refuses_a_bad_registry_before_binding(tmp_path, capsys, monkeypatch,
                                                      registry, code, why):
     def no_server(*args, **kwargs):
@@ -127,4 +132,7 @@ def test_serve_refuses_a_bad_registry_before_binding(tmp_path, capsys, monkeypat
         path.write_text(registry)
     capsys.readouterr()
     assert cli.main(["serve", "--addr", "127.0.0.1:0", "--models", str(path)]) == code
-    assert why in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert why in err
+    if code == 2:
+        assert str(path) in err

@@ -117,7 +117,8 @@ def test_full_body_pose_is_one_frozen_rotations_array():
     with pytest.raises(ValueError):
         pose.rotations[0, 0] = 5.0
     placed = pose.with_positions(np.zeros((3, 3)))
-    assert np.array_equal(placed.rotations, pose.rotations)
+    assert placed.rotations is pose.rotations  # a frozen float64 array is kept, not copied
+    assert core.FullBodyPose(pose.rotations.astype(np.float32)).rotations.dtype == np.float64
     with pytest.raises(ValueError):
         placed.positions[0, 0] = 1.0
     with pytest.raises(ValueError, match="root rotation"):

@@ -1,3 +1,4 @@
+import dataclasses
 from types import SimpleNamespace
 
 import numpy as np
@@ -203,8 +204,13 @@ def _perturbed_weights(cfg, seed):
             return value + 0.2 * rng.standard_normal(value.shape)
         return value
 
-    return [neural._map_tensors(part, prefix, perturb)
+    return [neural._map_tensors(part, prefix, lambda name, a: perturb(name, a).astype(np.float32))
             for prefix, part in zip(("motion", "visual", "fusion"), neural.init_weights(cfg, seed))]
+
+
+def _as(dtype, weights):
+    """Copies of weight dataclasses with every tensor cast to dtype."""
+    return [neural._map_tensors(part, "", lambda _, a: a.astype(dtype)) for part in weights]
 
 
 @pytest.mark.parametrize("keypoint_frames,use_fusion", [(8, True), (3, True), (8, False)],
@@ -217,12 +223,60 @@ def test_plan_matches_the_unfolded_forward_pass(keypoint_frames, use_fusion):
     frames = rng.standard_normal((cfg.window, cfg.motion_dim))
     keypoints = rng.standard_normal((keypoint_frames, cfg.joints, 3))
     got = predictor.predict(SimpleNamespace(frames=frames), keypoints).rotations
-    want = oracles.network_rotations(motion, visual, fusion, cfg.heads, frames,
+    # the oracle runs in float64 on the same weights cast up; the plan in float32
+    want = oracles.network_rotations(*_as(np.float64, (motion, visual, fusion)), cfg.heads, frames,
                                      keypoints.reshape(keypoint_frames, -1) if use_fusion else None)
-    assert np.max(np.abs(got - want)) <= 1e-12
+    assert np.max(np.abs(got - want)) <= 1e-5
     # the gains and biases move the output, so a fold that dropped them would show
     plain = oracles.network_rotations(*neural.init_weights(cfg, 40), cfg.heads, frames)
     assert np.max(np.abs(got - plain)) > 1e-3
+
+
+def _arrays(obj):
+    """Every array in obj, through lists, tuples, dicts and weight dataclasses."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        yield from _arrays(vars(obj))
+    elif isinstance(obj, (list, tuple, dict)):
+        for value in obj.values() if isinstance(obj, dict) else obj:
+            yield from _arrays(value)
+
+
+def test_the_plan_holds_and_computes_float32_only():
+    """One float64 array in the plan would make its matmuls mixed-dtype (and slow)."""
+    cfg = neural.NetConfig(window=8)
+    motion, visual, fusion = _as(np.float64, _perturbed_weights(cfg, 42))
+    plan = neural.Plan([motion, visual], cfg.heads, fusion)
+    held = {name: list(_arrays(value)) for name, value in vars(plan).items()}
+    # the stacked layers and each stream's views of them, the fusion block, and the
+    # weights it reads the embeddings, summary MLPs and decode heads from
+    assert all(held[name] for name in ("_layers", "_fusion", "encoders", "fusion", "_mean"))
+    assert len(held["_layers"]) == 3 * 2 * cfg.layers * len(neural._Folded._fields)
+    assert {a.dtype for arrays in held.values() for a in arrays} == {np.dtype(np.float32)}
+    rng = np.random.default_rng(43)
+    features = plan.encode([rng.standard_normal((cfg.window, cfg.motion_dim)),
+                            rng.standard_normal((cfg.window, cfg.keypoint_dim))])
+    assert features.dtype == np.float32
+    assert plan.fuse(features.astype(np.float64)).dtype == np.float32
+
+
+def test_weights_are_float32_as_seeded_and_as_loaded(tmp_path):
+    path = tmp_path / "weights.epvr"
+    neural.save_weights(path, *neural.init_weights(SMALL, seed=44), SMALL)
+    for weights in (neural.init_weights(SMALL, seed=44), neural.load_weights(path)[:3]):
+        dtypes = []
+        for part in weights:
+            neural._map_tensors(part, "", lambda _, a: dtypes.append(a.dtype))
+        assert set(dtypes) == {np.dtype(np.float32)}
+
+
+def test_saving_loaded_weights_writes_the_same_bytes(tmp_path):
+    first, second = tmp_path / "first.epvr", tmp_path / "second.epvr"
+    neural.save_weights(first, *_perturbed_weights(SMALL, 45), SMALL)
+    motion, visual, fusion, cfg = neural.load_weights(first)
+    neural.save_weights(second, motion, visual, fusion, cfg)
+    assert second.read_bytes() == first.read_bytes()
 
 
 def test_determinism():

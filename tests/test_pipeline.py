@@ -327,6 +327,16 @@ def test_a_predictor_that_reads_no_keypoints_skips_refine(monkeypatch):
         session.process_frame(seq.head[0], seq.left[0], seq.right[0], (z[0], zeta[0][:5]))
 
 
+def test_the_neural_predictor_encodes_with_the_weights_it_names():
+    """loopbench's tracer names the two encoders by predictor.motion_w and visual_w,
+    so these are the very weight objects the plan encodes with, not copies."""
+    predictor = pipeline.build_predictor(pipeline.PipelineConfig(), core.default_tree())
+    for weights, cast in zip((predictor.motion_w, predictor.visual_w), predictor.plan.encoders):
+        for field in dataclasses.fields(weights):
+            if not field.name.endswith("_layers"):
+                assert getattr(cast, field.name) is getattr(weights, field.name)
+
+
 def test_sessions_sharing_a_predictor_equal_lone_sessions():
     cfg = pipeline.PipelineConfig()
     shared = pipeline.build_predictor(cfg, core.default_tree())
@@ -344,7 +354,7 @@ def test_sessions_sharing_a_predictor_equal_lone_sessions():
 
 @pytest.mark.parametrize("config,ceiling", [
     (pipeline.PipelineConfig(), 638),
-    (pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False), 643),
+    (pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False), 641),
 ], ids=["default", "hmd-only"])
 def test_python_calls_per_frame_stay_under_their_ceiling(config, ceiling):
     """Python-level calls (call and c_call events) per frame over 100 frames
