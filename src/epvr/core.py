@@ -11,6 +11,8 @@ Conventions used throughout the package:
 * the skeleton is a KinematicTree, pelvis first, parents before children,
   and every joint count comes from it; the shipped default is the 22-joint
   SMPL main-body subset (no palm joints)
+* only the tree derives structure from its parents: the chain and incidence
+  matrices that forward kinematics, the pose optimizer and the body split read
 """
 
 from __future__ import annotations
@@ -167,7 +169,12 @@ class KinematicTree:
 
     The shipped default is the 22-joint SMPL main-body subset; smaller
     trees (chains) are accepted as long as joint 0 is the only root and
-    parents precede children.
+    parents precede children. Derived once, read-only, with bone b the bone
+    into joint b + 1: chain (J, J - 1), 1 where bone b lies on the path from
+    the root to joint j, so chain @ bone vectors gives positions relative to
+    the root; incidence (J, J - 1), +1 at bone b's child and -1 at its
+    parent, so incidence.T @ positions gives the bone vectors and
+    incidence.T @ chain = I; depth_levels, the joints at each depth 1, 2, ...
     """
 
     names: tuple
@@ -176,28 +183,29 @@ class KinematicTree:
 
     def __post_init__(self):
         parent = np.array(self.parent, dtype=np.int64)
-        offsets = np.array(self.rest_offset, dtype=np.float64).reshape(len(parent), 3)
-        if len(self.names) != len(parent):
+        n = len(parent)
+        offsets = np.array(self.rest_offset, dtype=np.float64).reshape(n, 3)
+        if len(self.names) != n:
             raise ValueError("names and parent arrays disagree on joint count")
         if parent[0] != ROOT_PARENT:
             raise ValueError("joint 0 must be the root")
-        for i in range(1, len(parent)):
+        chain = np.zeros((n, n - 1))
+        incidence = np.zeros((n, n - 1))
+        for i in range(1, n):
             if not 0 <= parent[i] < i:
                 raise ValueError(f"joint {i} parent must precede it (got {parent[i]})")
             if np.linalg.norm(offsets[i]) <= 0.0:
                 raise ValueError(f"joint {i} rest offset must have positive length")
-        parent.flags.writeable = False
-        offsets.flags.writeable = False
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "rest_offset", offsets)
-        depth = np.zeros(len(parent), dtype=np.int64)
-        for i in range(1, len(parent)):
-            depth[i] = depth[parent[i]] + 1
-        levels = tuple(
-            np.nonzero(depth == d)[0] for d in range(1, int(depth.max()) + 1)
-        ) if len(parent) > 1 else ()
-        object.__setattr__(self, "depth_levels", levels)
+            chain[i] = chain[parent[i]]
+            chain[i, i - 1] = incidence[i, i - 1] = 1.0
+            incidence[parent[i], i - 1] = -1.0
+        depth = chain.sum(axis=1)
+        levels = tuple(np.nonzero(depth == d)[0] for d in range(1, int(depth.max()) + 1))
+        for arr in (parent, offsets, chain, incidence):
+            arr.flags.writeable = False
+        # the instance is frozen: store the checked and derived fields directly
+        self.__dict__.update(names=tuple(self.names), parent=parent, rest_offset=offsets,
+                             chain=chain, incidence=incidence, depth_levels=levels)
 
     @property
     def joint_count(self):

@@ -34,21 +34,20 @@ def build_descriptor(head: core.DevicePose, left: core.DevicePose, right: core.D
     NonFiniteInput when a timestamp or any entry is NaN or infinite.
     """
     ts = (head.timestamp, left.timestamp, right.timestamp)
-    out = np.empty(DESCRIPTOR_DIM)
-    for slot, pose in zip((G_HEAD, G_LEFT, G_RIGHT), (head, left, right)):
-        block = out[slot]
-        block[0:3] = pose.position
-        block[3:9] = pose.orientation
-        block[9:12] = pose.linear_velocity
-        block[12:18] = pose.angular_velocity
+    # the timestamps, then the three global blocks in layout order
+    values = np.concatenate((
+        ts, head.position, head.orientation, head.linear_velocity, head.angular_velocity,
+        left.position, left.orientation, left.linear_velocity, left.angular_velocity,
+        right.position, right.orientation, right.linear_velocity, right.angular_velocity))
     # before any arithmetic, which would turn a NaN or inf into a numpy warning
-    if not np.isfinite(np.concatenate([ts, out[:G_RIGHT.stop]])).all():
+    if not np.isfinite(values).all():
         raise NonFiniteInput("device poses carry a NaN or infinite value")
     if max(ts) - min(ts) > SYNC_TOLERANCE:
         raise TimestampSkew(f"device timestamps diverge: {ts}")
-    rots = core.rot6d_to_matrix(
-        np.stack([head.orientation, left.orientation, right.orientation])
-    )
+    out = np.empty(DESCRIPTOR_DIM)
+    out[:G_RIGHT.stop] = values[len(ts):]
+    # one global block per device; the orientations are slots 3:9 of each
+    rots = core.rot6d_to_matrix(out[:G_RIGHT.stop].reshape(3, -1)[:, 3:9])
     head_rot_t = rots[0].T
     for slot, pose, rot in zip((R_LEFT, R_RIGHT), (left, right), rots[1:]):
         block = out[slot]

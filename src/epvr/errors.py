@@ -39,9 +39,10 @@ class ChannelCountMismatch(EpvrError):
     """Vector filter bank received a vector of the wrong width."""
 
 
-# refinement
+# array and tensor shapes
 class ShapeError(EpvrError):
-    """Array argument has an unexpected shape."""
+    """An array argument has an unexpected shape, or a weights file's tensors
+    or network config are malformed, inconsistent or violate the architecture."""
 
 
 # neural forward / weights files
@@ -51,14 +52,6 @@ class NonFiniteActivation(EpvrError):
 
 class BadMagic(EpvrError):
     """File or wire frame does not start with the expected magic bytes."""
-
-
-class ShapeMismatch(EpvrError):
-    """Loaded tensors are mutually inconsistent or violate the architecture."""
-
-
-class ChecksumFailure(EpvrError):
-    """Stored checksum does not match the file contents (or file truncated)."""
 
 
 # metrics / synthesis
@@ -72,7 +65,8 @@ class UnknownMotionKind(EpvrError):
 
 # wire protocol / server
 class CrcMismatch(EpvrError):
-    """Envelope CRC-32 check failed."""
+    """Stored CRC-32 does not match the bytes it covers: a wire envelope, or
+    a weights file (also one too short to hold its checksum)."""
 
 
 class TruncatedFrame(EpvrError):

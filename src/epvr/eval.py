@@ -32,10 +32,8 @@ M_TO_CM = 100.0
 def body_halves(tree: core.KinematicTree):
     """Ascending joint indices (upper, lower): the upper body is the spine1
     subtree, the lower body every other joint."""
-    upper = np.zeros(tree.joint_count, dtype=bool)
-    upper[tree.joint_index("spine1")] = True
-    for j in range(1, tree.joint_count):
-        upper[j] |= upper[tree.parent[j]]
+    # spine1's subtree: the joints whose chain holds the bone into spine1
+    upper = tree.chain[:, tree.joint_index("spine1") - 1] > 0
     return tuple(np.flatnonzero(upper).tolist()), tuple(np.flatnonzero(~upper).tolist())
 
 

@@ -1,11 +1,12 @@
 """Forward kinematics: rotations to world joint positions.
 
-The skeleton is posed in a local frame by chaining parent rotations and
-rest offsets from the root, then rigidly translated so the anchor joint
-lands on the tracked headset position. The anchor is the joint the headset
-sits on, the first of core.TRACKED_JOINT_NAMES. Rotations are (J, 6),
-root first (the core layout): the body's orientation comes from row 0, the
-predicted root rotation, alone.
+World rotations are chained from the root one depth level at a time, and
+each rest offset turned by its parent's world rotation is a bone vector.
+The tree's chain matrix less the anchor joint's row sums the bones into
+positions, with the anchor joint on the tracked headset position: the
+joint the headset sits on, the first of core.TRACKED_JOINT_NAMES. Rotations
+are (J, 6), root first (the core layout): the body's orientation comes from
+row 0, the predicted root rotation, alone.
 
 forward_chain poses any number of frames in one call (the synthetic
 generator poses a whole sequence at once); forward_kinematics is the
@@ -46,19 +47,16 @@ def forward_chain(rotations, tree: core.KinematicTree, anchor_position,
     rot[0] = locals_[0]
     for level in tree.depth_levels:
         rot[level] = rot[parent[level]] @ locals_[level]
-    # every rest offset turned by its parent's world rotation, then summed
-    # down the chain
-    raw = np.empty(locals_.shape[:2] + (3,))
-    raw[0] = 0.0
-    raw[1:] = np.einsum("kbij,kj->kbi", rot[parent[1:]], tree.rest_offset[1:])
-    for level in tree.depth_levels:
-        raw[level] += raw[parent[level]]
+    # every rest offset turned by its parent's world rotation: the bone vectors
+    bones = np.einsum("kbij,kj->kbi", rot[parent[1:]], tree.rest_offset[1:])
     if anchor_joint is None:
         anchor_joint = tree.joint_index(core.TRACKED_JOINT_NAMES[0])
-    positions = raw - raw[anchor_joint] + np.reshape(anchor_position, (-1, 3))
+    # one (J, J - 1) @ (J - 1, 3) product per pose, so that a pose's sums do
+    # not depend on how many poses share the call
+    positions = ((tree.chain - tree.chain[anchor_joint]) @ bones.swapaxes(0, 1)
+                 + np.reshape(anchor_position, (-1, 1, 3)))
     batch = rotations.shape[:-1]
-    return (positions.swapaxes(0, 1).reshape(batch + (3,)),
-            rot.swapaxes(0, 1).reshape(batch + (3, 3)))
+    return positions.reshape(batch + (3,)), rot.swapaxes(0, 1).reshape(batch + (3, 3))
 
 
 def forward_kinematics(pose: core.FullBodyPose, tree: core.KinematicTree, anchor_position,

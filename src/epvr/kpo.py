@@ -24,7 +24,9 @@ iteration of Sorkine & Alexa, "As-Rigid-As-Possible Surface Modeling" (SGP
 when the relative energy decrease falls below energy_tolerance, or at the
 max_iterations safety cap.
 
-KpoSolver(cfg, tree, anchors) builds that matrix once per skeleton;
+The links are the tree's bones, read through its signed incidence matrix
+(tree.incidence), the bone operator of the scheme. KpoSolver(cfg, tree,
+anchors) builds the global-step matrix from it once per skeleton;
 run(initial, targets) then solves one frame from the predicted positions
 and the tracked anchor positions, and keeps no per-frame state.
 """
@@ -66,19 +68,15 @@ class KpoReport:
 
 
 class KpoSolver:
-    """Solver for one skeleton: the incidence and global-step matrices are
-    built once, and run(initial, targets) solves one frame and keeps nothing
-    of it. anchors holds the index of each anchor joint, one per target row."""
+    """Solver for one skeleton: the global-step matrices are built once from
+    the tree's incidence; run(initial, targets) solves one frame and keeps
+    nothing of it. anchors holds each anchor joint's index, one per target row."""
 
     def __init__(self, cfg: KpoConfig, tree: core.KinematicTree, anchors):
         self.cfg = cfg
         self.tree = tree
         n = tree.joint_count
-        # signed incidence (rows joints, columns links): +1 child, -1 parent
-        inc = np.zeros((n, n - 1))
-        inc[np.arange(1, n), np.arange(n - 1)] = 1.0
-        inc[tree.parent[1:], np.arange(n - 1)] = -1.0
-        self.incidence = inc
+        inc = tree.incidence
         self.anchors = np.array(anchors, dtype=np.int64)
         self.others = np.delete(np.arange(n), self.anchors)
         # A: alignment + self-regularization + direction + length terms. The
@@ -113,9 +111,9 @@ class KpoSolver:
         linear = np.zeros_like(initial)
         linear[self.anchors] = cfg.lambda_a * targets
         linear[self.others] = cfg.lambda_s * initial[self.others]
-        linear += 2.0 * cfg.lambda_d * (self.incidence @ init_disp)
+        linear += 2.0 * cfg.lambda_d * (self.tree.incidence @ init_disp)
         p0 = self._a_inv @ linear
-        d0 = self.incidence.T @ p0
+        d0 = self.tree.incidence.T @ p0
         two_l = 2.0 * cfg.lambda_l
         # energy of p0 + G w is c + 2 lambda_l (<w, K w> - 2 <|d|, l0>)
         c = (cfg.lambda_a * float(np.einsum("ij,ij->", targets, targets))

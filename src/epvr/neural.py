@@ -39,7 +39,7 @@ from dataclasses import astuple, dataclass, fields
 import numpy as np
 
 from . import core
-from .errors import BadMagic, ChecksumFailure, NonFiniteActivation, ShapeError, ShapeMismatch
+from .errors import BadMagic, CrcMismatch, NonFiniteActivation, ShapeError
 
 _LN_EPS = 1e-5
 
@@ -59,15 +59,15 @@ class NetConfig:
 
     def __post_init__(self):
         if self.model_dim % self.heads != 0:
-            raise ShapeMismatch(
+            raise ShapeError(
                 f"model_dim {self.model_dim} not divisible by {self.heads} heads"
             )
         for name in ("motion_dim", "keypoint_dim", "model_dim", "heads", "window",
                      "joints", "ff_mult", "summary_hidden", "decoder_hidden"):
             if getattr(self, name) < 1:
-                raise ShapeMismatch(f"{name} must be >= 1")
+                raise ShapeError(f"{name} must be >= 1")
         if self.layers < 0:
-            raise ShapeMismatch("layers must be >= 0")
+            raise ShapeError("layers must be >= 0")
 
 
 @dataclass
@@ -295,62 +295,64 @@ def decode_pose(fused, w: FusionWeights, joints: int) -> core.FullBodyPose:
 # initialization
 
 
-def _f32(rng, shape, scale):
-    """Random normal scaled in float32, the dtype of the weights file."""
-    return rng.standard_normal(shape, dtype=np.float32) * np.float32(scale)
-
-
-def _init_layer(rng, cfg: NetConfig) -> LayerWeights:
+def _init_layer(draw, cfg: NetConfig) -> LayerWeights:
     s = cfg.model_dim
     ff = cfg.ff_mult * s
     w_scale = 1.0 / np.sqrt(s)
     return LayerWeights(
         ln1_g=np.ones(s, np.float32), ln1_b=np.zeros(s, np.float32),
-        wq=_f32(rng, (s, s), w_scale), bq=np.zeros(s, np.float32),
-        wk=_f32(rng, (s, s), w_scale), bk=np.zeros(s, np.float32),
-        wv=_f32(rng, (s, s), w_scale), bv=np.zeros(s, np.float32),
-        wo=_f32(rng, (s, s), w_scale), bo=np.zeros(s, np.float32),
+        wq=draw((s, s), w_scale), bq=np.zeros(s, np.float32),
+        wk=draw((s, s), w_scale), bk=np.zeros(s, np.float32),
+        wv=draw((s, s), w_scale), bv=np.zeros(s, np.float32),
+        wo=draw((s, s), w_scale), bo=np.zeros(s, np.float32),
         ln2_g=np.ones(s, np.float32), ln2_b=np.zeros(s, np.float32),
-        ff_w1=_f32(rng, (s, ff), w_scale), ff_b1=np.zeros(ff, np.float32),
-        ff_w2=_f32(rng, (ff, s), 1.0 / np.sqrt(ff)), ff_b2=np.zeros(s, np.float32),
+        ff_w1=draw((s, ff), w_scale), ff_b1=np.zeros(ff, np.float32),
+        ff_w2=draw((ff, s), 1.0 / np.sqrt(ff)), ff_b2=np.zeros(s, np.float32),
     )
 
 
-def _init_encoder(rng, cfg: NetConfig, input_dim: int) -> EncoderWeights:
+def _init_encoder(draw, cfg: NetConfig, input_dim: int) -> EncoderWeights:
     s = cfg.model_dim
     return EncoderWeights(
-        embed_w=_f32(rng, (input_dim, s), 1.0 / np.sqrt(input_dim)),
+        embed_w=draw((input_dim, s), 1.0 / np.sqrt(input_dim)),
         embed_b=np.zeros(s, np.float32),
-        pos=_f32(rng, (cfg.window, s), 0.02),
-        frame_layers=[_init_layer(rng, cfg) for _ in range(cfg.layers)],
-        summary_w1=_f32(rng, (s, cfg.summary_hidden), 1.0 / np.sqrt(s)),
+        pos=draw((cfg.window, s), 0.02),
+        frame_layers=[_init_layer(draw, cfg) for _ in range(cfg.layers)],
+        summary_w1=draw((s, cfg.summary_hidden), 1.0 / np.sqrt(s)),
         summary_b1=np.zeros(cfg.summary_hidden, np.float32),
-        summary_w2=_f32(rng, (cfg.summary_hidden, cfg.joints * s), 1.0 / np.sqrt(cfg.summary_hidden)),
+        summary_w2=draw((cfg.summary_hidden, cfg.joints * s), 1.0 / np.sqrt(cfg.summary_hidden)),
         summary_b2=np.zeros(cfg.joints * s, np.float32),
-        joint_embed=_f32(rng, (cfg.joints, s), 0.02),
-        joint_layers=[_init_layer(rng, cfg) for _ in range(cfg.layers)],
+        joint_embed=draw((cfg.joints, s), 0.02),
+        joint_layers=[_init_layer(draw, cfg) for _ in range(cfg.layers)],
     )
 
 
 def init_weights(cfg: NetConfig = NetConfig(), seed: int = 0):
     """Seeded random float32 weights: (motion encoder, visual encoder, fusion)."""
     rng = np.random.default_rng(seed)
-    motion = _init_encoder(rng, cfg, cfg.motion_dim)
-    visual = _init_encoder(rng, cfg, cfg.keypoint_dim)
+    return _build_weights(
+        cfg, lambda shape, scale: rng.standard_normal(shape, dtype=np.float32) * np.float32(scale))
+
+
+def _build_weights(cfg: NetConfig, draw):
+    """(motion, visual, fusion) float32 weights of cfg's architecture, each
+    random matrix made by draw(shape, scale), in a fixed order."""
+    motion = _init_encoder(draw, cfg, cfg.motion_dim)
+    visual = _init_encoder(draw, cfg, cfg.keypoint_dim)
     s = cfg.model_dim
     h = cfg.decoder_hidden
     # the fusion block is a layer whose first norm applies to the queries
     block = {name.replace("ln1", "ln_q").replace("ln2", "ln_ff"): value
-             for name, value in vars(_init_layer(rng, cfg)).items()}
+             for name, value in vars(_init_layer(draw, cfg)).items()}
     fusion = FusionWeights(
         **block, ln_kv_g=np.ones(s, np.float32), ln_kv_b=np.zeros(s, np.float32),
-        dec_root_w1=_f32(rng, (s, h), 1.0 / np.sqrt(s)),
+        dec_root_w1=draw((s, h), 1.0 / np.sqrt(s)),
         dec_root_b1=np.zeros(h, np.float32),
-        dec_root_w2=_f32(rng, (h, 6), 1.0 / np.sqrt(h)),
+        dec_root_w2=draw((h, 6), 1.0 / np.sqrt(h)),
         dec_root_b2=core.IDENTITY_6D.astype(np.float32),
-        dec_local_w1=_f32(rng, (s, h), 1.0 / np.sqrt(s)),
+        dec_local_w1=draw((s, h), 1.0 / np.sqrt(s)),
         dec_local_b1=np.zeros(h, np.float32),
-        dec_local_w2=_f32(rng, (h, 6), 1.0 / np.sqrt(h)),
+        dec_local_w2=draw((h, 6), 1.0 / np.sqrt(h)),
         dec_local_b2=core.IDENTITY_6D.astype(np.float32),
     )
     return motion, visual, fusion
@@ -428,9 +430,9 @@ def _read_directory(body):
         off += 8
         payload = body[off:off + payload_len]
         if len(payload) != payload_len or off + payload_len != len(body):
-            raise ShapeMismatch("directory and payload sizes disagree")
+            raise ShapeError("directory and payload sizes disagree")
     except struct.error:
-        raise ShapeMismatch("malformed tensor directory") from None
+        raise ShapeError("malformed tensor directory") from None
     return entries, payload
 
 
@@ -438,48 +440,49 @@ def load_weights(path):
     """Load (motion, visual, fusion, config) from a weights file, each tensor
     a read-only float32 view of the file's payload.
 
-    Raises BadMagic / ChecksumFailure / ShapeMismatch per failure mode;
-    a truncated file surfaces as ChecksumFailure.
+    Raises BadMagic / CrcMismatch / ShapeError per failure mode;
+    a truncated file surfaces as CrcMismatch.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < len(MAGIC) + 1 + 4:
-        raise ChecksumFailure("file too short to contain a checksum")
+        raise CrcMismatch("file too short to contain a checksum")
     if blob[:4] != MAGIC:
         raise BadMagic(f"magic bytes {blob[:4]!r}")
     body, (crc,) = blob[:-4], struct.unpack("<I", blob[-4:])
     if zlib.crc32(body) != crc:
-        raise ChecksumFailure("CRC-32 mismatch")
+        raise CrcMismatch("CRC-32 mismatch")
     if body[4] != VERSION:
         raise BadMagic(f"unsupported weights version {body[4]}")
     entries, payload = _read_directory(body)
     tensors = {}
     for name, dtype, shape, payload_off in entries:
         if dtype != _DTYPE_F32:
-            raise ShapeMismatch(f"tensor {name} has unknown dtype code {dtype}")
+            raise ShapeError(f"tensor {name} has unknown dtype code {dtype}")
         size = int(np.prod(shape, dtype=np.int64)) * 4 if shape else 4
         chunk = payload[payload_off:payload_off + size]
         if len(chunk) != size:
-            raise ShapeMismatch(f"tensor {name} payload out of range")
+            raise ShapeError(f"tensor {name} payload out of range")
         tensors[name] = np.frombuffer(chunk, dtype="<f4").reshape(shape)
 
     if "config" not in tensors:
-        raise ShapeMismatch("missing config tensor")
+        raise ShapeError("missing config tensor")
     cfg_vals = [int(round(v)) for v in tensors["config"]]
     if len(cfg_vals) != len(fields(NetConfig)):
-        raise ShapeMismatch("config tensor has wrong length")
+        raise ShapeError("config tensor has wrong length")
     cfg = NetConfig(*cfg_vals)
 
     def take(name, expected):
         if name not in tensors:
-            raise ShapeMismatch(f"missing tensor {name}")
+            raise ShapeError(f"missing tensor {name}")
         arr = tensors[name]
         if arr.shape != expected.shape:
-            raise ShapeMismatch(f"tensor {name}: expected {expected.shape}, got {arr.shape}")
+            raise ShapeError(f"tensor {name}: expected {expected.shape}, got {arr.shape}")
         return arr
 
     # the expected names and shapes are those of the weights cfg describes
+    expected = _build_weights(cfg, lambda shape, scale: np.empty(shape, np.float32))
     motion, visual, fusion = (
-        _map_tensors(part, prefix, take) for prefix, part in zip(_PARTS, init_weights(cfg))
+        _map_tensors(part, prefix, take) for prefix, part in zip(_PARTS, expected)
     )
     return motion, visual, fusion, cfg

@@ -135,6 +135,45 @@ def rest_lengths(tree):
     return np.array([math.sqrt(float(v @ v)) for v in tree.rest_offset[1:]])
 
 
+def random_tree(rng, joint_count):
+    """A joint_count-joint tree with each parent drawn from the joints before
+    its child, and rest offsets 0.05-0.5 m long in random directions."""
+    parent = [core.ROOT_PARENT] + [int(rng.integers(i)) for i in range(1, joint_count)]
+    offsets = rng.standard_normal((joint_count, 3))
+    offsets /= np.linalg.norm(offsets, axis=1, keepdims=True)
+    offsets *= rng.uniform(0.05, 0.5, (joint_count, 1))
+    return core.KinematicTree(tuple(f"j{i}" for i in range(joint_count)), parent, offsets)
+
+
+def forward_chain_levels(rotations, tree, anchor_position, anchor_joint):
+    """World positions (..., J, 3) and rotations (..., J, 3, 3) of forward
+    kinematics, both accumulated down the tree one depth level at a time:
+    each joint's world rotation is its parent's times its own, and each
+    joint's position its parent's plus its rest offset turned by the
+    parent's world rotation. The body is then translated so anchor_joint
+    lands on anchor_position (..., 3)."""
+    parent = tree.parent
+    n = len(parent)
+    depth = [0] * n
+    for i in range(1, n):
+        depth[i] = depth[parent[i]] + 1
+    levels = [np.array([i for i in range(n) if depth[i] == d]) for d in range(1, max(depth) + 1)]
+    locals_ = core.rot6d_to_matrix(rotations).reshape(-1, n, 3, 3).swapaxes(0, 1)
+    rot = np.empty(locals_.shape)
+    rot[0] = locals_[0]
+    for level in levels:
+        rot[level] = rot[parent[level]] @ locals_[level]
+    raw = np.empty(locals_.shape[:2] + (3,))
+    raw[0] = 0.0
+    raw[1:] = np.einsum("kbij,kj->kbi", rot[parent[1:]], tree.rest_offset[1:])
+    for level in levels:
+        raw[level] += raw[parent[level]]
+    positions = raw - raw[anchor_joint] + np.reshape(anchor_position, (-1, 3))
+    batch = np.shape(rotations)[:-1]
+    return (positions.swapaxes(0, 1).reshape(batch + (3,)),
+            rot.swapaxes(0, 1).reshape(batch + (3, 3)))
+
+
 def tree_neighbors(parent):
     """Adjacency lists: the parent and the children of every joint, ascending."""
     adj = [set() for _ in parent]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epvr import core, kinematics
 from epvr.errors import ShapeError, ZeroLengthBone
@@ -194,3 +195,41 @@ def test_forward_chain_poses_a_batch_as_the_per_frame_calls():
         rotations.reshape(2, 3, 22, 6), tree, anchors.reshape(2, 3, 3))
     assert np.array_equal(grid_pos.reshape(pos.shape), pos)
     assert np.array_equal(grid_rot.reshape(rot.shape), rot)
+
+
+# --- random trees: the chain product against the level-by-level oracle --------
+
+TREES = settings(max_examples=60, deadline=None)
+joint_counts = st.integers(1, 30)
+seeds = st.integers(0, 2**32 - 1)
+
+
+@TREES
+@given(joint_counts, seeds)
+def test_chain_fk_matches_the_level_oracle_on_random_trees(joint_count, seed):
+    rng = np.random.default_rng(seed)
+    tree = oracles.random_tree(rng, joint_count)
+    rotations = np.stack([
+        [core.matrix_to_rot6d(oracles.random_rotation(rng)) for _ in range(joint_count)]
+        for _ in range(4)])
+    anchors = rng.standard_normal((4, 3))
+    anchor_joint = int(rng.integers(joint_count))
+    pos, rot = kinematics.forward_chain(rotations, tree, anchors, anchor_joint)
+    want_pos, want_rot = oracles.forward_chain_levels(rotations, tree, anchors, anchor_joint)
+    assert np.max(np.abs(pos - want_pos)) < 1e-12
+    assert np.array_equal(rot, want_rot)
+    for i in range(4):
+        one_pos, _ = kinematics.forward_chain(rotations[i], tree, anchors[i], anchor_joint)
+        assert np.max(np.abs(one_pos - want_pos[i])) < 1e-12
+
+
+@TREES
+@given(joint_counts, seeds)
+def test_the_tree_operators_are_read_only_inverses(joint_count, seed):
+    tree = oracles.random_tree(np.random.default_rng(seed), joint_count)
+    assert tree.chain.shape == tree.incidence.shape == (joint_count, joint_count - 1)
+    # a bone's child and parent chains differ by that bone alone
+    assert np.array_equal(tree.incidence.T @ tree.chain, np.eye(joint_count - 1))
+    for operator in (tree.chain, tree.incidence):
+        with pytest.raises(ValueError, match="read-only"):
+            operator[0] = 1.0

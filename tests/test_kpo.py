@@ -3,6 +3,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from epvr import core, kpo
 from epvr.errors import ZeroLengthBone
@@ -336,6 +337,24 @@ def test_run_energy_matches_long_gradient_descent():
         _, descent = oracles.kpo_gradient_descent(
             problem.initial, problem.anchors, problem.tree.parent, cfg, 4000)
         assert report.final_energy <= descent + 1e-6
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 30), st.integers(0, 2**32 - 1))
+def test_solves_on_random_trees_use_the_trees_incidence(joint_count, seed):
+    """The solver keeps no incidence of its own; its links are the tree's
+    bones, so the energy it reports is the term-by-term energy over them."""
+    rng = np.random.default_rng(seed)
+    tree = oracles.random_tree(rng, joint_count)
+    initial = default_positions(tree, rng, jitter=0.01)
+    joints = rng.choice(joint_count, size=min(3, joint_count), replace=False).tolist()
+    problem = Problem(initial, {k: initial[k] + rng.normal(0.0, 0.03, 3) for k in joints}, tree)
+    cfg = kpo.KpoConfig()
+    solver = kpo.KpoSolver(cfg, tree, joints)
+    assert not hasattr(solver, "incidence")
+    out, report = solver.run(initial, np.array([problem.anchors[k] for k in joints]))
+    assert abs(report.final_energy - naive_total(out, problem, cfg)) < 1e-10
+    assert report.final_energy <= naive_total(initial, problem, cfg)
 
 
 def test_singular_system_run_is_refused():

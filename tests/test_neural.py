@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from epvr import core, neural, pipeline
-from epvr.errors import BadMagic, ChecksumFailure, NonFiniteActivation, ShapeError, ShapeMismatch
+from epvr.errors import BadMagic, CrcMismatch, NonFiniteActivation, ShapeError
 
 import oracles
 
@@ -16,7 +16,8 @@ SMALL = neural.NetConfig(model_dim=16, heads=2, layers=1, window=6, joints=22,
 
 def _zeroed_encoder(cfg, input_dim):
     rng = np.random.default_rng(0)
-    enc = neural._init_encoder(rng, cfg, input_dim)
+    enc = neural._init_encoder(
+        lambda shape, scale: rng.standard_normal(shape, dtype=np.float32), cfg, input_dim)
     enc.embed_w[:] = 0.0
     enc.embed_b[:] = 0.0
     enc.pos[:] = 0.0
@@ -279,6 +280,20 @@ def test_saving_loaded_weights_writes_the_same_bytes(tmp_path):
     assert second.read_bytes() == first.read_bytes()
 
 
+def test_loading_weights_draws_nothing(tmp_path, monkeypatch):
+    path = tmp_path / "weights.epvr"
+    motion, visual, fusion = neural.init_weights(SMALL, seed=46)
+    neural.save_weights(path, motion, visual, fusion, SMALL)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("loading weights drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    loaded = neural.load_weights(path)
+    assert loaded[3] == SMALL
+    assert np.array_equal(loaded[0].summary_w2, motion.summary_w2)
+
+
 def test_determinism():
     motion, visual, fusion = neural.init_weights(SMALL, seed=21)
     rng = np.random.default_rng(22)
@@ -337,7 +352,7 @@ def test_truncated_file_fails_checksum(tmp_path):
     blob = path.read_bytes()
     truncated = tmp_path / "truncated.epvr"
     truncated.write_bytes(blob[: len(blob) // 2])
-    with pytest.raises(ChecksumFailure):
+    with pytest.raises(CrcMismatch):
         neural.load_weights(truncated)
 
 
@@ -349,7 +364,7 @@ def test_corrupted_payload_fails_checksum(tmp_path):
     blob[len(blob) // 2] ^= 0xFF
     bad = tmp_path / "bad.epvr"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(ChecksumFailure):
+    with pytest.raises(CrcMismatch):
         neural.load_weights(bad)
 
 
@@ -381,7 +396,7 @@ def test_indivisible_heads_rejected(tmp_path):
     blob[-4:] = struct.pack("<I", zlib.crc32(body))
     bad = tmp_path / "bad_heads.epvr"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeError):
         neural.load_weights(bad)
 
 
@@ -403,7 +418,7 @@ def test_missing_tensor_rejected(tmp_path):
     blob[-4:] = struct.pack("<I", zlib.crc32(bytes(blob[:-4])))
     bad = tmp_path / "missing.epvr"
     bad.write_bytes(bytes(blob))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(ShapeError):
         neural.load_weights(bad)
     assert "motion.frame.0.wq" in name_to_off
 
@@ -441,12 +456,12 @@ def _set(name, index, value):
 
 @pytest.mark.parametrize("edit, version, error, match", [
     (lambda e: None, 2, BadMagic, "version"),
-    (_set("fusion.wq", 0, 1), 1, ShapeMismatch, "dtype"),
-    (_set("visual.summary_w2", 2, b""), 1, ShapeMismatch, "out of range"),
-    (lambda e: e.pop("config"), 1, ShapeMismatch, "missing config"),
-    (_set("config", 1, (9,)), 1, ShapeMismatch, "wrong length"),
-    (lambda e: e.pop("visual.joint.0.ff_b2"), 1, ShapeMismatch, "missing tensor"),
-    (_set("fusion.ff_w1", 1, (32, 16)), 1, ShapeMismatch, "expected"),
+    (_set("fusion.wq", 0, 1), 1, ShapeError, "dtype"),
+    (_set("visual.summary_w2", 2, b""), 1, ShapeError, "out of range"),
+    (lambda e: e.pop("config"), 1, ShapeError, "missing config"),
+    (_set("config", 1, (9,)), 1, ShapeError, "wrong length"),
+    (lambda e: e.pop("visual.joint.0.ff_b2"), 1, ShapeError, "missing tensor"),
+    (_set("fusion.ff_w1", 1, (32, 16)), 1, ShapeError, "expected"),
 ])
 def test_malformed_weights_file_rejected(tmp_path, edit, version, error, match):
     path = tmp_path / "weights.epvr"

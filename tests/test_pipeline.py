@@ -320,7 +320,7 @@ def test_a_predictor_that_reads_no_keypoints_skips_refine(monkeypatch):
     poses = _pose_rows(session, *walk, range(300))
     hmd_only = pipeline.PipelineSession(dataclasses.replace(with_keypoints, use_keypoints=False))
     assert np.array_equal(poses, _pose_rows(hmd_only, *walk, range(300)))
-    assert hashlib.sha256(poses.tobytes()).hexdigest().startswith("c363b78b")
+    assert hashlib.sha256(poses.tobytes()).hexdigest().startswith("08d0238e")
     # keypoints are still validated: a bad frame is refused
     seq, z, zeta = walk
     with pytest.raises(ShapeError):
@@ -353,8 +353,8 @@ def test_sessions_sharing_a_predictor_equal_lone_sessions():
 
 
 @pytest.mark.parametrize("config,ceiling", [
-    (pipeline.PipelineConfig(), 638),
-    (pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False), 641),
+    (pipeline.PipelineConfig(), 626),
+    (pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False), 629),
 ], ids=["default", "hmd-only"])
 def test_python_calls_per_frame_stay_under_their_ceiling(config, ceiling):
     """Python-level calls (call and c_call events) per frame over 100 frames
