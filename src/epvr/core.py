@@ -100,7 +100,7 @@ def geodesic_angle(ra, rb):
     return np.degrees(np.arccos(cos))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class DevicePose:
     """Position and orientation (plus rates) of one tracked device.
 
@@ -132,7 +132,7 @@ def _freeze(values, shape):
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class FullBodyPose:
     """The (J, 6) rotations of a J-joint tree in the layout above, root
     first; a pose with no rows is refused.
@@ -163,7 +163,7 @@ class FullBodyPose:
 ROOT_PARENT = -1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # ndarray fields: identity equality and hash
 class KinematicTree:
     """Joint names, parent indices and rest-pose bone offsets of a skeleton.
 

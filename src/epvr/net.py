@@ -8,15 +8,17 @@ docs/protocol.md):
     timestamp u64 (microseconds) | payload length u32 | payload |
     CRC-32 u32 over everything before it
 
-One handler thread per connection reads its envelopes and owns what the
-connection opens, an input session or a render subscription: the end of
-the handler is the only place either ends, at end of stream and at
-Server.close() alike. Each session holds one sequential pipeline worker.
-Sensor frames land in a single-slot latest-wins buffer: a new frame
-overwrites an unconsumed one (counted, not an error), so server memory
-stays bounded no matter how fast a client sends. Pose results go back to
-the input client and to any render subscribers of the same session; a
-subscriber that cannot keep up is dropped after a bounded backlog.
+One thread serves every connection: a selectors loop owns the listener,
+every connection and every session. Each turn reads every readable
+connection and frames its bytes into envelopes, then runs at most one frame
+per session, then ends the connections that ended or were refused during
+the turn, with what they opened. Sensor frames land in a single-slot
+latest-wins buffer: a new frame overwrites an unconsumed one (counted, not
+an error), so server memory stays bounded no matter how fast a client
+sends. Every send is tried at once and only the unsent rest is queued; a
+connection with unsent output is not read until it drains. Pose results go
+to the input client and to any render subscribers of the same session; a
+subscriber more than 64 results behind is dropped.
 
 Both ends set TCP_NODELAY. A fused frame is two small writes, KEYPOINT_FRAME
 then HMD_FRAME; with Nagle's algorithm on, the second waits in the sender's
@@ -25,13 +27,13 @@ kernel until the peer's delayed ACK of the first (about 40 ms on Linux).
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import math
-import queue
+import selectors
 import socket
 import struct
 import threading
-import time
 import uuid
 import zlib
 from enum import IntEnum
@@ -262,49 +264,31 @@ def decode_error_payload(payload: bytes):
 
 
 class FrameBuffer:
-    """Single-slot buffer: push overwrites, take empties. One writer, one
-    reader; close wakes the reader for good."""
+    """Single-slot buffer: push overwrites and counts the frame it replaces,
+    take empties. The server's one thread owns it."""
 
     def __init__(self):
-        self._cond = threading.Condition()
         self._frame = None
-        self._dropped = 0
-        self._closed = False
-
-    @property
-    def dropped(self):
-        with self._cond:
-            return self._dropped
+        self.dropped = 0
 
     def push(self, frame):
-        with self._cond:
-            if self._frame is not None:
-                self._dropped += 1
-            self._frame = frame
-            self._cond.notify()
-
-    def close(self):
-        with self._cond:
-            self._closed = True
-            self._cond.notify_all()
+        if self._frame is not None:
+            self.dropped += 1
+        self._frame = frame
 
     def take_latest(self, timeout: float | None = None):
-        """Newest unconsumed frame, waiting up to timeout seconds for one
-        (without limit when None). None on timeout, and always once the
-        buffer is closed."""
-        with self._cond:
-            self._cond.wait_for(lambda: self._frame is not None or self._closed, timeout)
-            if self._closed:
-                return None
-            frame, self._frame = self._frame, None
-            return frame
+        """The newest unconsumed frame, or None; returns at once. timeout is
+        unused: it stays for loopbench's tracer, which wraps this method with
+        that signature until ROADMAP item 8 retires it."""
+        frame, self._frame = self._frame, None
+        return frame
 
 
 # ---------------------------------------------------------------------------
 # server
 
-_SUBSCRIBER_BACKLOG = 64
-_DRAIN_TIMEOUT = 2.0  # seconds an ending session waits for the frame in hand
+_SUBSCRIBER_BACKLOG = 64  # unsent envelopes a render subscriber may hold
+_RECV_BYTES = 1 << 16  # what one turn reads from one connection at most
 
 
 def _recv_exact(sock, n):
@@ -324,111 +308,51 @@ def _recv_exact(sock, n):
     return b"".join(chunks)
 
 
+def _envelope_len(header) -> int:
+    """Bytes of the envelope a buffered header starts; BadMagic on a wrong
+    magic and OversizedFrame on a length over the limit, before any body."""
+    if header[:4] != MAGIC:
+        raise BadMagic(f"stream desynchronized: {bytes(header[:4])!r}")
+    return HEADER_LEN + _payload_len(header) + CRC_LEN
+
+
 def read_envelope(sock):
-    """Read exactly one framed envelope from a stream socket (None at end
-    of stream; a socket timeout raises TimeoutError)."""
+    """Read exactly one framed envelope from a blocking stream socket (None
+    at end of stream; a socket timeout raises TimeoutError)."""
     header = _recv_exact(sock, HEADER_LEN)
     if header is None:
         return None
-    if header[:4] != MAGIC:
-        raise BadMagic(f"stream desynchronized: {header[:4]!r}")
-    rest = _recv_exact(sock, _payload_len(header) + CRC_LEN)
+    rest = _recv_exact(sock, _envelope_len(header) - HEADER_LEN)
     if rest is None:
         return None
     return decode(header + rest)
 
 
-class _Connection:
-    """Socket plus a send lock so worker and handler threads can both write.
-    Any thread may shut it down; only its handler closes it."""
+def _error(code: int, message: str, session_id: bytes = NO_SESSION,
+           sequence: int = 0, timestamp: float = 0.0) -> bytes:
+    return encode(Envelope(Kind.ERROR, session_id, sequence, timestamp,
+                           encode_error_payload(code, message)))
+
+
+class _Peer:
+    """One connection and what it opened: an input session after HELLO, and
+    the sessions it watches as a render subscriber. Only the loop touches it."""
 
     def __init__(self, sock):
         self.sock = sock
-        self._lock = threading.Lock()
-
-    def send(self, raw: bytes) -> bool:
-        with self._lock:
-            try:
-                self.sock.sendall(raw)
-                return True
-            except OSError:
-                return False
-
-    def send_error(self, code: int, message: str, session_id: bytes = NO_SESSION,
-                   sequence: int = 0, timestamp: float = 0.0) -> bool:
-        return self.send(encode(Envelope(
-            Kind.ERROR, session_id, sequence, timestamp, encode_error_payload(code, message)
-        )))
-
-    def shutdown(self, how=socket.SHUT_RDWR):
-        """Wake a blocked recv (and, with SHUT_RDWR, a blocked send); the
-        handler's next read is end of stream."""
-        try:
-            self.sock.shutdown(how)
-        except OSError:  # already shut down, or closed
-            pass
-
-    def close(self):
-        self.shutdown()
-        with self._lock:  # a send in flight has returned: the shutdown woke it
-            self.sock.close()
-
-
-class _Subscriber:
-    """Render client fan-out with a bounded backlog."""
-
-    def __init__(self, conn: _Connection):
-        self.conn = conn
-        self.queue = queue.Queue(maxsize=_SUBSCRIBER_BACKLOG)
-        self.alive = True
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
-
-    def offer(self, raw: bytes) -> bool:
-        """Queue one result; a full backlog drops the subscriber."""
-        try:
-            self.queue.put_nowait(raw)
-            return True
-        except queue.Full:
-            self.stop()
-            return False
-
-    def _drain(self):
-        while self.alive:
-            raw = self.queue.get()
-            if raw is None:
-                return
-            if not self.conn.send(raw):
-                self.alive = False
-
-    def stop(self):
-        """End the drain thread and shut the connection down, so that its
-        handler reads end of stream and closes it."""
-        self.alive = False
-        try:
-            self.queue.put_nowait(None)
-        except queue.Full:  # the drain thread is not waiting on the queue
-            pass
-        self.conn.shutdown()
-        self._thread.join()
-
-
-class _ServerSession:
-    """One input connection's pipeline: its handler pushes frames, and a
-    worker thread answers them until the buffer is closed."""
-
-    def __init__(self, session_id, conn, pipeline_session: pipeline.PipelineSession):
-        self.session_id = session_id
-        self.conn = conn
-        self.pipeline = pipeline_session
+        self.inbox = bytearray()  # bytes read but not yet framed
+        self.outbox = collections.deque()  # unsent envelopes, the first perhaps in part
+        self.ending = False  # ends at the close of the loop's turn
+        self.farewell = None  # the ERROR sent as it ends
+        self.watching = []  # the peers whose sessions this one subscribes to
+        # the input session, opened by HELLO
+        self.session_id = None
+        self.pipeline = None
         self.buffer = FrameBuffer()
         self.latest_keypoints = None  # (t, z, zeta)
         self.subscribers = []
-        self.sub_lock = threading.Lock()
         self.result_seq = 0
         self.last_sensor_seq = -1
-        self.worker = threading.Thread(target=self._work, daemon=True)
-        self.worker.start()
 
     def push_sensor(self, head, left, right):
         kp = None
@@ -437,33 +361,10 @@ class _ServerSession:
             kp = (latest[1], latest[2])
         self.buffer.push((head, left, right, kp))
 
-    def _work(self):
-        while (bundle := self.buffer.take_latest()) is not None:
-            head, left, right, kp = bundle
-            try:
-                result = self.pipeline.process_frame(head, left, right, kp)
-            except Exception as e:  # refuses this frame; the session serves the next
-                self.conn.send_error(ERR_PIPELINE, f"{type(e).__name__}: {e}", self.session_id,
-                                     self.result_seq, head.timestamp)
-                continue
-            lat, pose = result.latencies, result.pose
-            payload = encode_pose_payload(pose.rotations, pose.positions,
-                                          [lat["predict"], lat["kpo"], lat["total"]])
-            raw = encode(Envelope(Kind.POSE_RESULT, self.session_id, self.result_seq,
-                                  head.timestamp, payload))
-            self.result_seq += 1
-            self.conn.send(raw)
-            with self.sub_lock:
-                self.subscribers = [s for s in self.subscribers if s.alive and s.offer(raw)]
-
-    def add_subscriber(self, sub: _Subscriber):
-        with self.sub_lock:
-            self.subscribers.append(sub)
-
 
 class Server:
-    """Stream server hosting named models: one handler thread per
-    connection, one pipeline worker per session."""
+    """Stream server hosting named models. One thread runs a selectors loop
+    that owns the listener, every connection and every session."""
 
     def __init__(self, address, registry: dict):
         """registry maps model name -> PipelineConfig."""
@@ -471,156 +372,218 @@ class Server:
         self._tree = core.default_tree()
         self._models = {}  # name -> (config, predictor); sessions share the predictor
         for name, config in registry.items():
-            # a config the pipeline rejects is refused here, not by a handler thread at HELLO
+            # a config the pipeline rejects is refused here, not at HELLO
             try:
                 predictor = pipeline.build_predictor(config, self._tree)
                 pipeline.PipelineSession(config, self._tree, predictor)
             except ValueError as e:
                 raise ValueError(f"model {name!r}: {e}") from None
             self._models[name] = (config, predictor)
-        self._sessions = {}  # session id -> _ServerSession, for SUBSCRIBE_RENDER
-        self._handlers = {}  # every open connection -> the handler thread that owns it
-        self._lock = threading.Lock()
+        self._sessions = {}  # session id -> the _Peer whose HELLO opened it
+        self._ending = []  # peers to end at the close of the turn
         try:
             self._listener = socket.create_server((host, port))
         except OSError as e:
             raise BindFailure(f"cannot bind {host}:{port}: {e}") from None
         self.address = self._listener.getsockname()
-        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        self._accept_thread.start()
+        self._wake, self._waker = socket.socketpair()  # close() closes the waker
+        self._selector = selectors.DefaultSelector()
+        for sock in (self._listener, self._wake):
+            sock.setblocking(False)
+            self._selector.register(sock, selectors.EVENT_READ)
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
 
-    def _accept_loop(self):
+    def _serve(self):
+        """The server's one thread. Each turn reads every readable connection,
+        runs at most one frame per session, then ends the connections that
+        ended during the turn."""
+        running = True
+        while running:
+            for key, events in self._selector.select():
+                peer = key.data
+                if peer is None:
+                    if key.fileobj is self._listener:
+                        self._accept()
+                    else:  # close() closed the other end of the socket pair
+                        running = False
+                elif events & selectors.EVENT_WRITE:
+                    if self._flush(peer):
+                        self._selector.modify(peer.sock, selectors.EVENT_READ, peer)
+                else:
+                    self._read(peer)
+            if not running:
+                for key in self._selector.get_map().values():
+                    if key.data is not None:
+                        self._drop(key.data)
+            for peer in list(self._sessions.values()):
+                frame = peer.buffer.take_latest(0.0)
+                if frame is not None:
+                    self._answer(peer, frame)
+            while self._ending:
+                self._end(self._ending.pop())
+        for sock in (self._listener, self._wake):
+            self._selector.unregister(sock)
+            sock.close()
+        self._selector.close()
+
+    def _accept(self):
         while True:
             try:
                 sock, _ = self._listener.accept()
-            except OSError:  # the listener was shut down by close()
+            except OSError:  # none waiting, or it went away
                 return
-            conn = _Connection(sock)
-            handler = threading.Thread(target=self._handle, args=(conn,), daemon=True)
-            with self._lock:
-                self._handlers[conn] = handler
-            handler.start()
+            sock.setblocking(False)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            self._selector.register(sock, selectors.EVENT_READ, _Peer(sock))
 
-    def _handle(self, conn):
-        """Serve one connection until end of stream or a refusal, then end
-        what it opened; the finally is the only place a session ends."""
-        session = None
-        subscriptions = []
-        env = None
+    def _drop(self, peer, farewell=None):
+        """Mark peer to end at the close of the turn, with an ERROR as its
+        last envelope when farewell holds one; it reads nothing more."""
+        if not peer.ending:
+            peer.ending, peer.farewell = True, farewell
+            self._ending.append(peer)
 
-        def refuse(code, message):  # answers the envelope being handled
-            conn.send_error(code, message, env.session_id, timestamp=env.timestamp)
+    def _end(self, peer):
+        """End a connection and what it opened, as at end of stream: its
+        session and its render subscribers' connections. What the socket does
+        not take at once is lost."""
+        if peer.farewell is not None:
+            peer.outbox.append(peer.farewell)
+        self._flush(peer)
+        self._selector.unregister(peer.sock)
+        peer.sock.close()
+        if self._sessions.get(peer.session_id) is peer:
+            del self._sessions[peer.session_id]
+        for sub in peer.subscribers:
+            self._drop(sub)
+        for target in peer.watching:
+            target.subscribers.remove(peer)
 
+    def _send(self, peer, raw):
+        """Send now what the socket takes; queue the rest, and stop reading
+        the peer until it is sent."""
+        peer.outbox.append(raw)
+        if len(peer.outbox) == 1 and not self._flush(peer):
+            self._selector.modify(peer.sock, selectors.EVENT_WRITE, peer)
+
+    def _flush(self, peer):
+        """Send queued output until the socket takes no more; True once all is sent."""
+        while peer.outbox:
+            try:
+                sent = peer.sock.send(peer.outbox[0])
+            except BlockingIOError:
+                return False
+            except OSError:  # the peer is gone: end it like end of stream
+                self._drop(peer)
+                return False
+            if sent < len(peer.outbox[0]):
+                peer.outbox[0] = memoryview(peer.outbox[0])[sent:]
+                return False
+            peer.outbox.popleft()
+        return True
+
+    def _read(self, peer):
+        """Read what the socket holds and handle every whole envelope in it."""
         try:
-            conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            while True:
-                try:
-                    env = read_envelope(conn.sock)
-                except (BadMagic, CrcMismatch, TruncatedFrame, UnknownKind) as e:
-                    conn.send_error(ERR_PROTOCOL, str(e))
+            data = peer.sock.recv(_RECV_BYTES)
+        except BlockingIOError:
+            return
+        except OSError:  # a failed read ends the connection like end of stream
+            data = b""
+        if not data:
+            self._drop(peer)
+            return
+        inbox = peer.inbox
+        inbox += data
+        try:
+            while not peer.ending and len(inbox) >= HEADER_LEN:
+                size = _envelope_len(inbox)
+                if len(inbox) < size:
                     return
-                except OSError:  # a failed read ends the connection like end of stream
-                    return
-                if env is None:
-                    return
-                if env.kind == Kind.HELLO:
-                    if session is not None:
-                        refuse(ERR_PROTOCOL, "session already open")
-                        return
-                    try:
-                        model = decode_hello(env.payload)
-                    except ValueError as e:
-                        refuse(ERR_PROTOCOL, str(e))
-                        return
-                    if model not in self._models:
-                        refuse(ERR_UNKNOWN_MODEL, f"unknown model {model!r}")
-                        return
-                    config, predictor = self._models[model]
-                    # one step under the lock: two HELLOs cannot both take an id
-                    with self._lock:
-                        if env.session_id not in self._sessions:
-                            session = _ServerSession(
-                                env.session_id, conn,
-                                pipeline.PipelineSession(config, self._tree, predictor),
-                            )
-                            self._sessions[env.session_id] = session
-                    if session is None:
-                        refuse(ERR_PROTOCOL, "session id already open")
-                        return
-                    conn.send(encode(Envelope(Kind.HELLO, env.session_id, 0, env.timestamp)))
-                elif env.kind == Kind.SUBSCRIBE_RENDER:
-                    # under the lock: a session leaves the table before it
-                    # stops its subscribers, so none joins an ended session
-                    with self._lock:
-                        target = self._sessions.get(env.session_id)
-                        if target is not None:
-                            subscriptions.append(_Subscriber(conn))
-                            target.add_subscriber(subscriptions[-1])
-                    if target is None:
-                        refuse(ERR_PROTOCOL, "no such session")
-                        return
-                    conn.send(encode(Envelope(Kind.PONG, env.session_id, 0, env.timestamp)))
-                elif env.kind == Kind.PING:
-                    conn.send(encode(dataclasses.replace(env, kind=Kind.PONG)))
-                elif env.kind in (Kind.HMD_FRAME, Kind.KEYPOINT_FRAME):
-                    if session is None:
-                        refuse(ERR_PROTOCOL, "HELLO first")
-                        return
-                    if env.sequence <= session.last_sensor_seq:
-                        refuse(ERR_PROTOCOL, "sequence numbers must increase")
-                        return
-                    session.last_sensor_seq = env.sequence
-                    try:
-                        if env.kind == Kind.HMD_FRAME:
-                            session.push_sensor(*decode_hmd_payload(env.payload))
-                        else:
-                            session.latest_keypoints = (
-                                env.timestamp, *decode_keypoint_payload(env.payload)
-                            )
-                    except ValueError as e:
-                        refuse(ERR_PROTOCOL, str(e))
-                        return
+                env = decode(inbox)
+                del inbox[:size]
+                self._handle(peer, env)
+        except (BadMagic, CrcMismatch, TruncatedFrame, UnknownKind) as e:
+            self._drop(peer, _error(ERR_PROTOCOL, str(e)))
+
+    def _handle(self, peer, env):
+        def refuse(code, message):  # answers env, and ends the connection
+            self._drop(peer, _error(code, message, env.session_id, timestamp=env.timestamp))
+
+        if env.kind == Kind.HELLO:
+            if peer.pipeline is not None:
+                return refuse(ERR_PROTOCOL, "session already open")
+            try:
+                model = decode_hello(env.payload)
+            except ValueError as e:
+                return refuse(ERR_PROTOCOL, str(e))
+            if model not in self._models:
+                return refuse(ERR_UNKNOWN_MODEL, f"unknown model {model!r}")
+            if env.session_id in self._sessions:
+                return refuse(ERR_PROTOCOL, "session id already open")
+            config, predictor = self._models[model]
+            peer.session_id = env.session_id
+            peer.pipeline = pipeline.PipelineSession(config, self._tree, predictor)
+            self._sessions[env.session_id] = peer
+            self._send(peer, encode(Envelope(Kind.HELLO, env.session_id, 0, env.timestamp)))
+        elif env.kind == Kind.SUBSCRIBE_RENDER:
+            target = self._sessions.get(env.session_id)
+            if target is None:
+                return refuse(ERR_PROTOCOL, "no such session")
+            target.subscribers.append(peer)
+            peer.watching.append(target)
+            self._send(peer, encode(Envelope(Kind.PONG, env.session_id, 0, env.timestamp)))
+        elif env.kind == Kind.PING:
+            self._send(peer, encode(dataclasses.replace(env, kind=Kind.PONG)))
+        elif env.kind in (Kind.HMD_FRAME, Kind.KEYPOINT_FRAME):
+            if peer.pipeline is None:
+                return refuse(ERR_PROTOCOL, "HELLO first")
+            if env.sequence <= peer.last_sensor_seq:
+                return refuse(ERR_PROTOCOL, "sequence numbers must increase")
+            peer.last_sensor_seq = env.sequence
+            try:
+                if env.kind == Kind.HMD_FRAME:
+                    peer.push_sensor(*decode_hmd_payload(env.payload))
                 else:
-                    return
-        finally:
-            if session is not None:
-                session.buffer.close()
-                session.worker.join(_DRAIN_TIMEOUT)  # the frame in hand is still answered
-                with self._lock:
-                    self._sessions.pop(session.session_id, None)
-                with session.sub_lock:
-                    subscriptions += session.subscribers
-                    session.subscribers = []
-            for sub in subscriptions:
-                sub.stop()
-            with self._lock:
-                del self._handlers[conn]
-            conn.close()
+                    peer.latest_keypoints = (env.timestamp, *decode_keypoint_payload(env.payload))
+            except ValueError as e:
+                refuse(ERR_PROTOCOL, str(e))
+        else:
+            self._drop(peer)
+
+    def _answer(self, peer, frame):
+        """Run one frame and send its result to the input connection and to
+        every render subscriber; a subscriber whose backlog is full is dropped."""
+        head, left, right, kp = frame
+        try:
+            result = peer.pipeline.process_frame(head, left, right, kp)
+            lat, pose = result.latencies, result.pose
+            payload = encode_pose_payload(pose.rotations, pose.positions,
+                                          [lat["predict"], lat["kpo"], lat["total"]])
+        except Exception as e:  # refuses this frame; the session serves the next
+            self._send(peer, _error(ERR_PIPELINE, f"{type(e).__name__}: {e}", peer.session_id,
+                                    peer.result_seq, head.timestamp))
+            return
+        raw = encode(Envelope(Kind.POSE_RESULT, peer.session_id, peer.result_seq,
+                              head.timestamp, payload))
+        peer.result_seq += 1
+        self._send(peer, raw)
+        for sub in peer.subscribers:
+            if len(sub.outbox) < _SUBSCRIBER_BACKLOG:
+                self._send(sub, raw)
+            else:
+                self._drop(sub)
 
     def session_count(self):
-        with self._lock:
-            return len(self._sessions)
+        return len(self._sessions)
 
     def close(self):
-        """Stop accepting, then end every connection's reads: each handler
-        ends what its connection opened exactly as at end of stream. Returns
-        once the accept thread and every handler have finished."""
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)  # wakes the blocked accept
-        except OSError:  # already closed
-            pass
-        self._accept_thread.join()
-        self._listener.close()
-        with self._lock:
-            handlers = list(self._handlers.items())
-            for conn, _ in handlers:
-                conn.shutdown(socket.SHUT_RD)  # writes stay open for the frame in hand
-        deadline = time.monotonic() + _DRAIN_TIMEOUT + 1.0
-        for conn, handler in handlers:
-            handler.join(max(0.0, deadline - time.monotonic()))
-            if handler.is_alive():  # blocked writing to a peer that does not read
-                conn.shutdown()
-                handler.join()
+        """Wake the loop, which ends every connection as at end of stream and
+        stops. Returns once its thread has finished; safe to repeat and to
+        call from several threads."""
+        self._waker.close()
+        self._thread.join()
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +626,16 @@ class Client:
         return env
 
     def subscribe(self, session_id: bytes):
+        """Watch session_id's results; ConnectionError unless the server
+        confirms with a PONG."""
         self._send(Kind.SUBSCRIBE_RENDER, 0.0, session_id=session_id)
         env = self.recv()
-        if env is not None and env.kind == Kind.ERROR:
+        if env is None:
+            raise ConnectionError("server closed before confirming the subscription")
+        if env.kind == Kind.ERROR:
             raise ConnectionError(_error_of(env)[1])
+        if env.kind != Kind.PONG:
+            raise ConnectionError(f"server answered SUBSCRIBE_RENDER with {env.kind.name}")
         return env
 
     def send_hmd(self, head, left, right):

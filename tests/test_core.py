@@ -125,6 +125,17 @@ def test_full_body_pose_is_one_frozen_rotations_array():
         core.FullBodyPose(np.zeros((0, 6)))
 
 
+@pytest.mark.parametrize("make", [
+    core.default_tree,
+    lambda: core.FullBodyPose(np.tile(core.IDENTITY_6D, (2, 1)), np.zeros((2, 3))),
+    lambda: core.DevicePose(0.0, [1, 2, 3], core.IDENTITY_6D),
+], ids=["KinematicTree", "FullBodyPose", "DevicePose"])
+def test_array_holding_records_compare_and_hash_by_identity(make):
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_default_tree_structure():
     tree = core.default_tree()
     assert tree.joint_count == 22

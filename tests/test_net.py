@@ -92,6 +92,32 @@ def test_error_payload_must_hold_exactly_its_message():
             net.decode_error_payload(bad)
 
 
+@contextlib.contextmanager
+def _replying_server(reply):
+    """A client of a fake server that reads one envelope, then sends the
+    bytes reply and holds the connection open, or closes it when reply is None."""
+    listener = socket.create_server(("127.0.0.1", 0))
+
+    def fake_server():
+        sock, _ = listener.accept()
+        with sock:
+            net.read_envelope(sock)
+            if reply is not None:
+                sock.sendall(reply)
+                sock.recv(1)  # hold the connection open until the client closes it
+
+    thread = threading.Thread(target=fake_server, daemon=True)
+    thread.start()
+    client = net.Client(*listener.getsockname(), timeout=TIMEOUT)
+    try:
+        yield client
+    finally:
+        client.close()
+        thread.join(TIMEOUT)
+        listener.close()
+    assert not thread.is_alive()
+
+
 @pytest.mark.parametrize("call", [
     lambda client: client.hello(MODEL),
     lambda client: client.subscribe(bytes(16)),
@@ -99,26 +125,21 @@ def test_error_payload_must_hold_exactly_its_message():
 def test_malformed_error_reply_is_a_connection_error(call):
     """A peer answering with a 1-byte ERROR payload fails the handshake with
     ConnectionError, not with the decoder's exception."""
-    listener = socket.create_server(("127.0.0.1", 0))
-
-    def fake_server():
-        sock, _ = listener.accept()
-        with sock:
-            net.read_envelope(sock)
-            sock.sendall(net.encode(net.Envelope(net.Kind.ERROR, net.NO_SESSION, 0, 0.0, b"\x01")))
-            sock.recv(1)  # hold the connection open until the client closes it
-
-    thread = threading.Thread(target=fake_server, daemon=True)
-    thread.start()
-    client = net.Client(*listener.getsockname(), timeout=TIMEOUT)
-    try:
+    malformed = net.encode(net.Envelope(net.Kind.ERROR, net.NO_SESSION, 0, 0.0, b"\x01"))
+    with _replying_server(malformed) as client:
         with pytest.raises(ConnectionError, match="malformed ERROR"):
             call(client)
-    finally:
-        client.close()
-        thread.join(TIMEOUT)
-        listener.close()
-    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("reply", [
+    None, net.encode(net.Envelope(net.Kind.HELLO, net.NO_SESSION, 0, 0.0)),
+], ids=["closed", "not-a-pong"])
+def test_subscribe_raises_unless_the_server_confirms(reply):
+    """A server that closes before it confirms, or answers with anything
+    but a PONG, fails the subscription with ConnectionError."""
+    with _replying_server(reply) as client:
+        with pytest.raises(ConnectionError, match="closed before|answered SUBSCRIBE_RENDER"):
+            client.subscribe(bytes(16))
 
 
 # --- frame buffer and render backlog ---------------------------------------------
@@ -136,38 +157,34 @@ def test_frame_buffer_keeps_the_newest_frame_and_counts_the_overwritten():
     assert buf.dropped == 2
 
 
-def test_frame_buffer_close_wakes_a_blocked_take():
-    buf = net.FrameBuffer()
-    got = []
-    reader = threading.Thread(target=lambda: got.append(buf.take_latest()), daemon=True)
-    reader.start()
-    time.sleep(0.05)  # let the reader block in take_latest
-    assert reader.is_alive()
-    buf.close()
-    reader.join(TIMEOUT)
-    assert not reader.is_alive() and got == [None]
-    buf.push("late")
-    assert buf.take_latest() is None
-
-
-def test_render_subscriber_that_never_reads_is_dropped():
-    ours, peer = socket.socketpair()
-    ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
-    peer.settimeout(TIMEOUT)
-    sub = net._Subscriber(net._Connection(ours))
+def test_render_subscriber_that_never_reads_is_dropped(server):
+    """A subscriber more than the backlog behind is dropped and its
+    connection closed, while the input client keeps getting its poses. The
+    subscriber's small receive buffer and segment size keep the kernel from
+    holding more than a few results for it."""
+    frames = 2 * net._SUBSCRIBER_BACKLOG
+    seq = evalmod.generate_sequence("walk", frames / 60.0, 60.0, seed=3)
+    client = _client(server)
+    render = socket.socket()
+    render.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    render.setsockopt(socket.IPPROTO_TCP, socket.TCP_MAXSEG, 536)
+    render.settimeout(TIMEOUT)
     try:
-        assert sub.offer(bytes(1 << 22))  # larger than the socket buffers: the drain blocks
-        deadline = time.perf_counter() + TIMEOUT
-        while not sub.queue.empty() and time.perf_counter() < deadline:
-            time.sleep(0.01)
-        assert all(sub.offer(b"result") for _ in range(net._SUBSCRIBER_BACKLOG))
-        assert not sub.offer(b"result")
-        assert not sub.alive
-        while peer.recv(1 << 16):  # what was sent, then end of stream
-            pass
+        client.hello(MODEL)
+        render.connect(server.address)
+        render.sendall(net.encode(net.Envelope(net.Kind.SUBSCRIBE_RENDER, client.session_id, 0, 0.0)))
+        assert net.read_envelope(render).kind == net.Kind.PONG
+        for i in range(frames):
+            client.send_hmd(seq.head[i], seq.left[i], seq.right[i])
+            env = client.recv()
+            assert env.kind == net.Kind.POSE_RESULT and env.sequence == i
+        results = 0
+        while net.read_envelope(render) is not None:  # what was sent, then end of stream
+            results += 1
+        assert net._SUBSCRIBER_BACKLOG <= results < frames
     finally:
-        ours.close()
-        peer.close()
+        client.close()
+        render.close()
 
 
 # --- transport ------------------------------------------------------------------
@@ -177,9 +194,8 @@ def test_both_ends_set_tcp_nodelay(server):
     client = _client(server)
     try:
         client.hello(MODEL)
-        with server._lock:
-            (conn,) = server._handlers
-        for sock in (client.sock, conn.sock):
+        (served,) = [key.fileobj for key in server._selector.get_map().values() if key.data]
+        for sock in (client.sock, served):
             assert sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
     finally:
         client.close()
@@ -366,36 +382,58 @@ def _send_quietly(sock, data):
         sock.sendall(data)
 
 
-def test_close_ends_a_connection_whose_peer_does_not_read(monkeypatch):
-    """A handler blocked writing to a peer that never reads is ended too,
-    once the grace period for the frame in hand has passed."""
-    monkeypatch.setattr(net, "_DRAIN_TIMEOUT", 0.2)  # the test waits it out
+def test_close_ends_a_connection_whose_peer_does_not_read():
+    """A connection whose peer never reads holds unsent output; close()
+    ends it at once all the same."""
     before = set(threading.enumerate())
     srv = net.Server(("127.0.0.1", 0), REGISTRY)
     sock = socket.socket()
     sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_MAXSEG, 536)  # small kernel buffers both ways
     sock.settimeout(TIMEOUT)
-    closer = threading.Thread(target=srv.close, daemon=True)
     try:
         sock.connect(srv.address)
-        # the PONGs echoing 8 MiB of PINGs outgrow the socket buffers; a
-        # handler blocked on them stops reading, so a thread sends the PINGs
+        # the PONGs echoing 8 MiB of PINGs outgrow the socket buffers, so the
+        # server stops reading the connection; a thread sends the PINGs
         ping = net.encode(net.Envelope(net.Kind.PING, bytes(16), 0, 0.0, bytes(net.MAX_PAYLOAD)))
         writer = threading.Thread(target=_send_quietly, args=(sock, 8 * ping), daemon=True)
         writer.start()
-        time.sleep(0.2)  # let the handler read PINGs and block writing a PONG
+        time.sleep(0.2)  # let the server read PINGs and queue PONGs it cannot send
+        assert writer.is_alive()  # the server stopped reading: its PONGs are unsent
         t0 = time.perf_counter()
-        closer.start()
-        closer.join(net._DRAIN_TIMEOUT + 3.0)
-        assert not closer.is_alive()
-        assert time.perf_counter() - t0 >= net._DRAIN_TIMEOUT
+        srv.close()
+        assert time.perf_counter() - t0 < 1.0
         writer.join(TIMEOUT)  # the server closed the connection under it
-        assert [t for t in threading.enumerate() if t not in before and t is not closer] == []
+        assert [t for t in threading.enumerate() if t not in before] == []
     finally:
         sock.close()
 
 
 # --- refusals -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("end", ["refusal", "end of stream"])
+def test_a_frame_read_before_the_end_of_its_connection_is_answered_first(server, walk, end):
+    """A frame read in the same turn as the connection's end or refusal
+    still gets its result, before the ERROR and the end of stream."""
+    client = _client(server)
+    try:
+        client.hello(MODEL)
+        payload = net.encode_hmd_payload(walk.head[0], walk.left[0], walk.right[0])
+        frame = net.encode(net.Envelope(net.Kind.HMD_FRAME, client.session_id, 1,
+                                        walk.head[0].timestamp, payload))
+        if end == "refusal":
+            client.sock.sendall(frame + frame)  # the second repeats the sequence number
+        else:
+            client.sock.sendall(frame)
+            client.sock.shutdown(socket.SHUT_WR)
+        assert client.recv().kind == net.Kind.POSE_RESULT
+        if end == "refusal":
+            assert _error_code(client) == net.ERR_PROTOCOL
+        else:
+            assert client.recv() is None
+    finally:
+        client.close()
 
 
 def test_sensor_frame_before_hello_is_refused(server, walk):
