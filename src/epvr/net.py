@@ -18,7 +18,9 @@ an error), so server memory stays bounded no matter how fast a client
 sends. Every send is tried at once and only the unsent rest is queued; a
 connection with unsent output is not read until it drains. Pose results go
 to the input client and to any render subscribers of the same session; a
-subscriber more than 64 results behind is dropped.
+result that would leave more than 64 envelopes unsent on a subscriber's
+connection drops that subscriber. An error the loop did not expect while
+serving one connection ends that connection alone and is logged.
 
 Both ends set TCP_NODELAY. A fused frame is two small writes, KEYPOINT_FRAME
 then HMD_FRAME; with Nagle's algorithm on, the second waits in the sender's
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import logging
 import math
 import selectors
 import socket
@@ -66,6 +69,9 @@ ERR_PROTOCOL = 2
 ERR_PIPELINE = 3
 
 NO_SESSION = bytes(16)  # session id of errors raised before an envelope could be read
+MAX_ERROR_TEXT = 1024  # bytes of UTF-8 the server sends of an ERROR message at most
+
+_log = logging.getLogger(__name__)
 
 
 class Kind(IntEnum):
@@ -330,6 +336,10 @@ def read_envelope(sock):
 
 def _error(code: int, message: str, session_id: bytes = NO_SESSION,
            sequence: int = 0, timestamp: float = 0.0) -> bytes:
+    """An encoded ERROR; a message over MAX_ERROR_TEXT bytes is cut there,
+    at a character boundary, so that any message fits the u16 text length."""
+    raw = message.encode("utf-8", "backslashreplace")[:MAX_ERROR_TEXT]
+    message = raw.decode("utf-8", "ignore")
     return encode(Envelope(Kind.ERROR, session_id, sequence, timestamp,
                            encode_error_payload(code, message)))
 
@@ -399,33 +409,48 @@ class Server:
         runs at most one frame per session, then ends the connections that
         ended during the turn."""
         running = True
-        while running:
-            for key, events in self._selector.select():
-                peer = key.data
-                if peer is None:
-                    if key.fileobj is self._listener:
-                        self._accept()
-                    else:  # close() closed the other end of the socket pair
-                        running = False
-                elif events & selectors.EVENT_WRITE:
-                    if self._flush(peer):
-                        self._selector.modify(peer.sock, selectors.EVENT_READ, peer)
-                else:
-                    self._read(peer)
-            if not running:
-                for key in self._selector.get_map().values():
-                    if key.data is not None:
-                        self._drop(key.data)
-            for peer in list(self._sessions.values()):
-                frame = peer.buffer.take_latest(0.0)
-                if frame is not None:
-                    self._answer(peer, frame)
-            while self._ending:
-                self._end(self._ending.pop())
-        for sock in (self._listener, self._wake):
-            self._selector.unregister(sock)
-            sock.close()
-        self._selector.close()
+        try:
+            while running:
+                for key, events in self._selector.select():
+                    peer = key.data
+                    if peer is None:
+                        if key.fileobj is self._listener:
+                            self._accept()
+                        else:  # close() closed the other end of the socket pair
+                            running = False
+                    else:
+                        self._guard(self._service, peer, events)
+                if not running:
+                    for key in self._selector.get_map().values():
+                        if key.data is not None:
+                            self._drop(key.data)
+                for peer in list(self._sessions.values()):
+                    frame = peer.buffer.take_latest(0.0)
+                    if frame is not None:
+                        self._guard(self._answer, peer, frame)
+                while self._ending:
+                    self._end(self._ending.pop())
+        finally:  # whatever ended the loop, it leaves no socket open
+            for key in list(self._selector.get_map().values()):
+                key.fileobj.close()
+            self._selector.close()
+            self._sessions.clear()
+
+    def _guard(self, work, peer, *args):
+        """work(peer, *args); an exception it did not expect is logged and
+        ends peer's connection, and the loop serves on."""
+        try:
+            work(peer, *args)
+        except Exception:
+            _log.exception("ending a connection after an unexpected error")
+            self._drop(peer)
+
+    def _service(self, peer, events):
+        if events & selectors.EVENT_WRITE:
+            if self._flush(peer):
+                self._selector.modify(peer.sock, selectors.EVENT_READ, peer)
+        else:
+            self._read(peer)
 
     def _accept(self):
         while True:
