@@ -124,14 +124,11 @@ def cmd_replay(args) -> int:
     return 0
 
 
-def _bench_once(config, frames, seq):
-    """fps, and each frame's µs per stage and KPO iterations (none if KPO is off)."""
-    session = pipeline.PipelineSession(config)
+def _bench_frames(config, frames, seq):
+    """(head, left, right, keypoints) of each frame: the walk replayed past its
+    end, each pass shifted by the walk's length."""
     kp = None
-    stage_us = {stage: [] for stage in pipeline.STAGES}
-    iterations = []
     n = seq.frame_count
-    t0 = time.perf_counter()
     for i in range(frames):
         j = i % n
         ts_shift = (i // n) * (n / seq.rate)
@@ -141,6 +138,35 @@ def _bench_once(config, frames, seq):
         )
         if config.use_keypoints:
             kp = (seq.keypoints_cam[j], seq.visibility[j].astype(np.float64))
+        yield head, left, right, kp
+
+
+def calls_per_frame(session, frames) -> float:
+    """Python-level calls (call and c_call events) per frame while session
+    processes frames. The count repeats exactly, so it shows a dispatch
+    change that timing noise hides; the profiler it needs slows every call."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event in ("call", "c_call")
+
+    sys.setprofile(count)
+    try:
+        for frame in frames:
+            session.process_frame(*frame)
+    finally:
+        sys.setprofile(None)
+    return calls / len(frames)
+
+
+def _bench_once(config, frames, seq):
+    """fps, and each frame's µs per stage and KPO iterations (none if KPO is off)."""
+    session = pipeline.PipelineSession(config)
+    stage_us = {stage: [] for stage in pipeline.STAGES}
+    iterations = []
+    t0 = time.perf_counter()
+    for head, left, right, kp in _bench_frames(config, frames, seq):
         result = session.process_frame(head, left, right, kp)
         for stage in pipeline.STAGES:
             stage_us[stage].append(result.latencies[stage])
@@ -176,6 +202,9 @@ def cmd_bench(args) -> int:
     kpo = {"iterations": float(np.mean(its)), "cap_share": float(np.mean(
         its >= KpoConfig().max_iterations))} if config.use_kpo else None
     mean, std = evalmod.summarize(fps_runs)
+    # a separate pass, so that no timing above carries the profiler's cost
+    calls = calls_per_frame(pipeline.PipelineSession(config),
+                            list(_bench_frames(config, args.frames, seq)))
     if args.json:
         print(json.dumps({
             "frames": args.frames,
@@ -183,6 +212,7 @@ def cmd_bench(args) -> int:
             "stage_us": stage_us,
             "stage_spread_us": spread,
             "kpo": kpo,
+            "calls_per_frame": calls,
         }, indent=2))
         return 0
     print(f"fps {mean:.1f} ± {std:.1f}  ({args.runs} runs x {args.frames} frames)")
@@ -190,6 +220,7 @@ def cmd_bench(args) -> int:
         print(f"stage.{stage}_us {stage_us[stage]:.1f} (runs {low:.1f}-{high:.1f})")
     if kpo:
         print(f"kpo.iterations {kpo['iterations']:.2f}\nkpo.cap_share {kpo['cap_share']:.3f}")
+    print(f"calls_per_frame {calls:.1f}")
     return 0
 
 

@@ -29,6 +29,20 @@ The links are the tree's bones, read through its signed incidence matrix
 anchors) builds the global-step matrix from it once per skeleton;
 run(initial, targets) then solves one frame from the predicted positions
 and the tracked anchor positions, and keeps no per-frame state.
+
+Warm start: at 60 Hz one frame's solution is close to the next one's. A
+caller may pass run the unit bone directions of its previous solution; run
+scales them to this frame's predicted bone lengths, and that second start
+is evaluated next to the usual one, the prediction's own bones, in one
+stacked product. The solve goes on from the warm start only when its
+energy is below both the prediction's and the first iterate's from the
+prediction's bones; otherwise it is dropped and the solve is exactly the
+one without directions. So a warm start never begins above a cold one. A
+warm solve that the cap cuts short has not converged, and along a slow
+mode it may end above where the cold solve would; run then solves cold as
+well and keeps the lower of the two. The caller owns the directions
+(pipeline.PipelineSession keeps them per session), and the solver stays
+stateless and shareable.
 """
 
 from __future__ import annotations
@@ -69,8 +83,9 @@ class KpoReport:
 
 class KpoSolver:
     """Solver for one skeleton: the global-step matrices are built once from
-    the tree's incidence; run(initial, targets) solves one frame and keeps
-    nothing of it. anchors holds each anchor joint's index, one per target row."""
+    the tree's incidence; run(initial, targets, directions=None) solves one
+    frame and keeps nothing of it. anchors holds each anchor joint's index,
+    one per target row."""
 
     def __init__(self, cfg: KpoConfig, tree: core.KinematicTree, anchors):
         self.cfg = cfg
@@ -94,11 +109,15 @@ class KpoSolver:
             self._g = 2.0 * cfg.lambda_l * (self._a_inv @ inc)
             self._k = inc.T @ self._g
 
-    def run(self, initial, targets):
+    def run(self, initial, targets, directions=None):
         """Minimize one frame's energy from the predicted positions (J, 3)
         and the anchors' tracked positions: (positions (J, 3), KpoReport).
-        Raises ZeroLengthBone on a prediction with a collapsed bone, and
-        ValueError when the weights leave a joint free (lambda_a = lambda_s = 0)."""
+        directions, when given, are unit bone directions (J - 1, 3) to warm
+        start from, such as those of the previous frame's solution; iterations
+        then counts the accepted iterations after that start, plus the cold
+        solve's when the cap cut the warm one short. Raises
+        ZeroLengthBone on a prediction with a collapsed bone, and ValueError
+        when the weights leave a joint free (lambda_a = lambda_s = 0)."""
         if self._a_inv is None:
             raise ValueError("KPO system is singular: the weights leave a joint free")
         cfg = self.cfg
@@ -122,9 +141,26 @@ class KpoSolver:
              - float(np.einsum("ij,ij->", linear, p0))
              + two_l * float(np.dot(init_len, init_len)))
         w = init_disp  # the prediction's bones: the first local step
-        best, iterations = None, 0
-        for _ in range(cfg.max_iterations):
+        best, iterations, warm = None, 0, False
+        if directions is None:
             kw = self._k @ w
+        else:
+            # both starts through K at once; each product is the one a lone start gets
+            starts = np.array((w, init_len[:, None] * directions))
+            kws = self._k @ starts
+            d = d0 + kws
+            length = np.sqrt(np.einsum("sij,sij->si", d, d))
+            start_energy = c + two_l * (np.einsum("sij,sij->s", starts, kws)
+                                        - 2.0 * (length @ init_len))
+            warm = bool(length[1].min() >= MIN_BONE_LENGTH
+                        and start_energy[1] < min(start_energy[0], energy))
+            if warm:
+                energy, best = float(start_energy[1]), starts[1]
+                w = (init_len / length[1])[:, None] * d[1]
+                kw = self._k @ w
+            else:
+                kw = kws[0]
+        for _ in range(cfg.max_iterations):
             d = d0 + kw
             length = np.sqrt(np.einsum("ij,ij->i", d, d))
             candidate = c + two_l * (float(np.vdot(w, kw))
@@ -138,5 +174,14 @@ class KpoSolver:
             if prev_energy - energy < cfg.energy_tolerance * prev_energy:
                 break
             w = (init_len / length)[:, None] * d
+            kw = self._k @ w
         p = initial.copy() if best is None else p0 + self._g @ best
-        return p, KpoReport(iterations, energy, diverged)
+        report = KpoReport(iterations, energy, diverged)
+        if warm and iterations == cfg.max_iterations:
+            # cut by the cap, the warm solve may lie further along a slow mode
+            # than the cold one would: solve cold as well and keep the lower
+            cold, cold_report = self.run(initial, targets)
+            if cold_report.final_energy < energy:
+                p, report = cold, cold_report
+            report.iterations = iterations + cold_report.iterations
+        return p, report

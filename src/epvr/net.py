@@ -19,8 +19,10 @@ sends. Every send is tried at once and only the unsent rest is queued; a
 connection with unsent output is not read until it drains. Pose results go
 to the input client and to any render subscribers of the same session; a
 result that would leave more than 64 envelopes unsent on a subscriber's
-connection drops that subscriber. An error the loop did not expect while
-serving one connection ends that connection alone and is logged.
+connection drops that subscriber. A subscribed connection's kernel send
+buffer is kept small, so that limit also bounds how far behind a subscriber
+may fall. An error the loop did not expect while serving one connection
+ends that connection alone and is logged.
 
 Both ends set TCP_NODELAY. A fused frame is two small writes, KEYPOINT_FRAME
 then HMD_FRAME; with Nagle's algorithm on, the second waits in the sender's
@@ -294,6 +296,10 @@ class FrameBuffer:
 # server
 
 _SUBSCRIBER_BACKLOG = 64  # unsent envelopes a render subscriber may hold
+# A subscriber's kernel send buffer, which Linux doubles; left to autotuning it
+# grows to megabytes on loopback and holds about 1,700 results before the
+# backlog above starts to fill.
+_SUBSCRIBER_SNDBUF = 4096
 _RECV_BYTES = 1 << 16  # what one turn reads from one connection at most
 
 
@@ -558,6 +564,7 @@ class Server:
                 return refuse(ERR_PROTOCOL, "no such session")
             target.subscribers.append(peer)
             peer.watching.append(target)
+            peer.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, _SUBSCRIBER_SNDBUF)
             self._send(peer, encode(Envelope(Kind.PONG, env.session_id, 0, env.timestamp)))
         elif env.kind == Kind.PING:
             self._send(peer, encode(dataclasses.replace(env, kind=Kind.PONG)))

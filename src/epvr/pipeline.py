@@ -15,8 +15,8 @@ whether it reads the refined keypoints at all (refine runs only if so).
 * replay:    ground-truth rotations looked up from an annotated motion file
 * heuristic: constant rest pose whose root follows the headset's heading
 
-One session is strictly sequential (filters and caches are stateful);
-separate sessions share nothing and may run concurrently.
+One session is strictly sequential (its filters, caches and KPO warm start
+are stateful); separate sessions share nothing and may run concurrently.
 """
 
 from __future__ import annotations
@@ -188,6 +188,7 @@ class PipelineSession:
             self._refine_fn = None  # nothing reads refined keypoints; they are still validated
         self._pos_filter = VectorFilterBank(3 * j) if config.use_filter else None
         self._kpo_solver = kpo.KpoSolver(kpo.KpoConfig(), self.tree, self._tracked)
+        self._kpo_directions = None  # unit bones of the last KPO result: the next warm start
 
     def process_frame(self, head: core.DevicePose, left: core.DevicePose,
                       right: core.DevicePose, keypoints=None) -> FrameResult:
@@ -225,7 +226,10 @@ class PipelineSession:
         if cfg.use_kpo:
             t0 = time.perf_counter_ns()
             positions, report = self._kpo_solver.run(
-                positions, np.stack([head.position, left.position, right.position]))
+                positions, np.stack([head.position, left.position, right.position]),
+                self._kpo_directions)
+            bones, length = kinematics.bone_vectors(positions, self.tree)
+            self._kpo_directions = bones / length[:, None]
             latencies["kpo"] = (time.perf_counter_ns() - t0) / 1e3
 
         latencies["total"] = (time.perf_counter_ns() - t_start) / 1e3

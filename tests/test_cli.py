@@ -10,10 +10,10 @@ from epvr import cli, eval as evalmod, kpo, net, pipeline
 
 GOLDEN = {
     (): {
-        "mpjpe": (58.17211842317464, 2.0301922904929257),
-        "mpjpe_u": (21.24276503843533, 1.9984081075128233),
-        "mpjpe_l": (111.51451775668696, 2.824873213877949),
-        "pa_mpjpe": (40.49806872553406, 1.0159979262831296),
+        "mpjpe": (58.172906660564436, 2.0306989312733914),
+        "mpjpe_u": (21.237017458594938, 1.9889379339037174),
+        "mpjpe_l": (111.52474661896484, 2.826304766990606),
+        "pa_mpjpe": (40.503268271271175, 1.013622156468501),
         "mpjre": (141.10830166880012, 4.656705373256238),
     },
     ("--ablate", "kpo"): {
@@ -70,6 +70,7 @@ def test_bench_json_reports_every_run_and_stage(capsys):
     assert set(doc["kpo"]) == {"iterations", "cap_share"}
     assert 0 < doc["kpo"]["iterations"] <= kpo.KpoConfig().max_iterations
     assert 0 <= doc["kpo"]["cap_share"] <= 1
+    assert doc["calls_per_frame"] > 0
 
 
 def test_bench_reports_stage_medians_over_every_frame(capsys, monkeypatch):
@@ -79,6 +80,7 @@ def test_bench_reports_stage_medians_over_every_frame(capsys, monkeypatch):
                      (200.0, dict.fromkeys(pipeline.STAGES, [12.0]), [10, 10]),
                      (300.0, dict.fromkeys(pipeline.STAGES, [60.0, 90.0, 13.0]), [30, 5])])
         monkeypatch.setattr(cli, "_bench_once", lambda config, frames, seq: next(runs))
+        monkeypatch.setattr(cli, "calls_per_frame", lambda session, frames: 412.5)
 
     argv = ["bench", "--frames", "5", "--runs", "3"]
     three_runs()
@@ -90,12 +92,13 @@ def test_bench_reports_stage_medians_over_every_frame(capsys, monkeypatch):
     # per-run medians 10.5, 12 and 60
     assert doc["stage_spread_us"] == dict.fromkeys(pipeline.STAGES, [10.5, 60.0])
     assert doc["kpo"] == {"iterations": 15.0, "cap_share": 2 / 6}
+    assert doc["calls_per_frame"] == 412.5
     three_runs()
     assert cli.main(argv) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("fps 200.0 ")
     assert lines[1:] == [f"stage.{stage}_us 12.5 (runs 10.5-60.0)" for stage in pipeline.STAGES] + [
-        "kpo.iterations 15.00", "kpo.cap_share 0.333"]
+        "kpo.iterations 15.00", "kpo.cap_share 0.333", "calls_per_frame 412.5"]
 
 
 @pytest.mark.parametrize("flag", ["--runs", "--frames"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from epvr import core, kpo
+from epvr import core, eval as evalmod, kinematics, kpo, pipeline
 from epvr.errors import ZeroLengthBone
 
 import oracles
@@ -355,6 +355,77 @@ def test_solves_on_random_trees_use_the_trees_incidence(joint_count, seed):
     out, report = solver.run(initial, np.array([problem.anchors[k] for k in joints]))
     assert abs(report.final_energy - naive_total(out, problem, cfg)) < 1e-10
     assert report.final_energy <= naive_total(initial, problem, cfg)
+
+
+# --- warm start ----------------------------------------------------------------
+
+
+def unit_bones(positions, tree):
+    bones, length = kinematics.bone_vectors(positions, tree)
+    return bones / length[:, None]
+
+
+def test_a_warm_start_from_the_converged_solution_accepts_at_most_one_iteration():
+    rng = np.random.default_rng(80)
+    cfg = kpo.KpoConfig()
+    for _ in range(20):
+        problem = random_problem(rng)
+        solver = kpo.KpoSolver(cfg, problem.tree, list(problem.anchors))
+        targets = np.array([problem.anchors[k] for k in solver.anchors])
+        cold, cold_report = solver.run(problem.initial, targets)
+        assert cold_report.iterations > 1
+        warm, report = solver.run(problem.initial, targets, unit_bones(cold, problem.tree))
+        assert report.iterations <= 1
+        assert report.final_energy <= cold_report.final_energy
+        assert abs(report.final_energy - naive_total(warm, problem, cfg)) < 1e-10
+
+
+def test_a_warm_start_worse_than_the_cold_one_is_dropped():
+    """Reversed bones start far above the prediction's own, and a NaN start
+    has no energy: either is dropped, and the solve is the cold one bit for bit."""
+    rng = np.random.default_rng(81)
+    for _ in range(10):
+        problem = random_problem(rng)
+        solver = kpo.KpoSolver(kpo.KpoConfig(), problem.tree, list(problem.anchors))
+        targets = np.array([problem.anchors[k] for k in solver.anchors])
+        cold, cold_report = solver.run(problem.initial, targets)
+        directions = unit_bones(cold, problem.tree)
+        for start in (-directions, np.full_like(directions, np.nan)):
+            warm, report = solver.run(problem.initial, targets, start)
+            assert np.array_equal(warm, cold) and report == cold_report
+
+
+class ColdBeside:
+    """Solves each frame as the session asks, and cold beside it."""
+
+    def __init__(self, solver):
+        self.solver, self.reports = solver, []  # (report, cold report) per frame
+
+    def run(self, initial, targets, directions=None):
+        positions, report = self.solver.run(initial, targets, directions)
+        self.reports.append((report, self.solver.run(initial, targets)[1]))
+        return positions, report
+
+
+@pytest.mark.parametrize("config", [
+    pipeline.PipelineConfig(),
+    pipeline.PipelineConfig(predictor="heuristic", use_keypoints=False, use_fusion=False),
+], ids=["default", "hmd-only"])
+def test_a_session_warm_starts_each_frame_no_higher_than_cold(config):
+    """Over a 600-frame walk each frame's warm-started solve ends at most 1e-4
+    (relative) above the cold solve of the same frame, and needs far fewer
+    iterations. KPO is the last stage, so the solves see the same input."""
+    seq = evalmod.generate_sequence("walk", 10.0, 60.0, seed=1)
+    z, zeta = evalmod.noisy_keypoints(seq, 0.01, seed=2)
+    session = pipeline.PipelineSession(config)
+    beside = session._kpo_solver = ColdBeside(session._kpo_solver)
+    for i in range(seq.frame_count):
+        session.process_frame(seq.head[i], seq.left[i], seq.right[i], (z[i], zeta[i]))
+    warm = np.array([(r.final_energy, r.iterations) for r, _ in beside.reports])
+    cold = np.array([(r.final_energy, r.iterations) for _, r in beside.reports])
+    assert len(warm) == 600
+    assert np.all(warm[:, 0] <= cold[:, 0] * (1.0 + 1e-4))
+    assert np.mean(warm[:, 1]) < 0.7 * np.mean(cold[:, 1])
 
 
 def test_singular_system_run_is_refused():
